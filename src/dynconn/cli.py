@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from .errors import DynConnError, KTooLarge, MissingTimestamps, ParseError
 from .workload import (
@@ -28,19 +27,16 @@ from .workload import (
 )
 
 
-@dataclass
-class CliConfig:
-    command: str
-    input: str | None = None
-    seed: int = 0
-    k: int = 0
-    pcts: tuple = ()
-    queries: int = 100_000
-    mode: str = "conn"
-    output: str | None = None
-    n: int = 64
-    ops: int = 50_000
-    check_every: int = 100
+def _pcts(text):
+    """--pct: comma-separated window sizes, each in (0, 100]."""
+    try:
+        pcts = tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers, got {text!r}") from None
+    if not pcts or any(not 0 < x <= 100 for x in pcts):
+        raise argparse.ArgumentTypeError("values must lie in (0, 100]")
+    return pcts
 
 
 def _build_parser():
@@ -68,7 +64,7 @@ def _build_parser():
 
     w = sub.add_parser("window", help="temporal sliding-window replay")
     common(w)
-    w.add_argument("--pct", default="5,10,20,40,80",
+    w.add_argument("--pct", type=_pcts, default="5,10,20,40,80",
                    help="comma-separated window sizes as %% of the time span")
     w.add_argument("--queries", type=int, default=100_000,
                    help="query batch on each final window (0 to skip)")
@@ -85,87 +81,63 @@ def _build_parser():
     return p
 
 
-def _config_from(ns, parser):
-    cfg = CliConfig(command=ns.command)
-    for name in ("input", "seed", "mode", "output", "k", "queries", "n", "ops"):
-        if hasattr(ns, name):
-            setattr(cfg, name, getattr(ns, name))
-    if hasattr(ns, "check_every"):
-        cfg.check_every = ns.check_every
-    if hasattr(ns, "pct"):
-        try:
-            cfg.pcts = tuple(int(x) for x in ns.pct.split(",") if x.strip())
-        except ValueError:
-            parser.error(f"--pct must be comma-separated integers, got {ns.pct!r}")
-        if not cfg.pcts or any(not 0 < x <= 100 for x in cfg.pcts):
-            parser.error("--pct values must lie in (0, 100]")
-    return cfg
-
-
 # -- subcommands -------------------------------------------------------------
 
 
-def _cmd_build(cfg):
-    stream = load_edge_file(cfg.input)
+def _cmd_build(ns):
+    stream = load_edge_file(ns.input)
     t0 = time.perf_counter()
-    idx, dup = build_index(stream, cfg.mode)
+    idx, dup = build_index(stream, ns.mode)
     wall = time.perf_counter() - t0
-    rep = MetricsReport()
+    stats = idx.stats()
+    rep = MetricsReport(avg_depth_id=stats.pop("avg_depth"))
     rep.extras["vertices"] = stream.n
     rep.extras["edges"] = idx.graph.m
     rep.extras["events"] = len(stream.events)
     rep.extras["duplicate_events"] = dup
     rep.extras["dropped_self_loops"] = stream.dropped_self_loops
-    if cfg.mode == "2ec":
-        stats = idx.ecc2_stats()
-        rep.extras["classes"] = stats["classes"]
-        rep.extras["largest_class"] = stats["largest_class"]
-        rep.extras["bridges"] = stats["bridges"]
-    else:
-        stats = idx.component_stats()
-        rep.extras["components"] = stats["components"]
-        rep.extras["largest_component"] = stats["largest_component"]
-    rep.avg_depth_id = idx.forest.average_depth()
+    # vertices and edges keep their slots; the relation's counts follow
+    rep.extras.update(stats)
     rep.extras["build_seconds"] = wall
     return rep, 0
 
 
-def _cmd_bench(cfg):
-    stream = load_edge_file(cfg.input)
-    idx, _ = build_index(stream, cfg.mode)
-    rep = run_random_cycle(idx, cfg.k, cfg.seed)
-    if cfg.queries:
+def _cmd_bench(ns):
+    stream = load_edge_file(ns.input)
+    idx, _ = build_index(stream, ns.mode)
+    rep = run_random_cycle(idx, ns.k, ns.seed)
+    if ns.queries:
         import random as _random
 
-        rng = _random.Random(cfg.seed)
+        rng = _random.Random(ns.seed)
         _, _, query = index_ops(idx)
         n = stream.n
         t0 = time.perf_counter_ns()
-        for _ in range(cfg.queries):
+        for _ in range(ns.queries):
             query(rng.randrange(n), rng.randrange(n))
         rep.timings_ns["query"] = (
-            (time.perf_counter_ns() - t0) / cfg.queries,
-            cfg.queries,
+            (time.perf_counter_ns() - t0) / ns.queries,
+            ns.queries,
         )
-        rep.counts["query"] = cfg.queries
+        rep.counts["query"] = ns.queries
     return rep, 0
 
 
-def _cmd_window(cfg):
-    stream = load_edge_file(cfg.input)
+def _cmd_window(ns):
+    stream = load_edge_file(ns.input)
     rep = MetricsReport()
-    for pct in cfg.pcts:
-        rep.merge(run_sliding_window(stream, pct, cfg.mode, cfg.queries, cfg.seed))
+    for pct in ns.pct:
+        rep.merge(run_sliding_window(stream, pct, ns.mode, ns.queries, ns.seed))
     return rep, 0
 
 
-def _cmd_fuzz(cfg):
-    if cfg.mode == "2ec":
-        out = run_two_ec_fuzz(cfg.n, cfg.ops, cfg.seed, cfg.check_every)
+def _cmd_fuzz(ns):
+    if ns.mode == "2ec":
+        out = run_two_ec_fuzz(ns.n, ns.ops, ns.seed, ns.check_every)
     else:
-        out = run_connectivity_fuzz(cfg.n, cfg.ops, cfg.seed, cfg.check_every)
+        out = run_connectivity_fuzz(ns.n, ns.ops, ns.seed, ns.check_every)
     rep = MetricsReport()
-    rep.extras["fuzz_n"] = cfg.n
+    rep.extras["fuzz_n"] = ns.n
     rep.extras["fuzz_ops"] = out.ops
     rep.extras["fuzz_queries"] = out.queries
     rep.extras["fuzz_checks"] = out.checks
@@ -178,8 +150,8 @@ def _cmd_fuzz(cfg):
     return rep, (0 if out.ok else 3)
 
 
-def _cmd_stats(cfg):
-    stream = load_edge_file(cfg.input)
+def _cmd_stats(ns):
+    stream = load_edge_file(ns.input)
     rep = MetricsReport()
     edges = set()
     dup = 0
@@ -213,12 +185,11 @@ def main(argv=None):
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        cfg = _config_from(ns, parser)
     except SystemExit as exc:  # argparse signals usage errors via exit(2)
         return int(exc.code or 0)
 
     try:
-        report, rc = _COMMANDS[cfg.command](cfg)
+        report, rc = _COMMANDS[ns.command](ns)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -232,8 +203,8 @@ def main(argv=None):
         return 1
 
     try:
-        if cfg.output:
-            with open(cfg.output, "w") as fh:
+        if ns.output:
+            with open(ns.output, "w") as fh:
                 report.write_csv(fh)
         else:
             report.write_csv(sys.stdout)

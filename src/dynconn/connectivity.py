@@ -94,7 +94,22 @@ class ConnectivityIndex:
         """Same answer as connected(), from the forest's root walks."""
         return self.forest.query(u, v)
 
-    def component_stats(self) -> dict:
+    def partition(self) -> list:
+        """Set representative of every vertex, read without compressing
+        or counting."""
+        peek = self.dsets.peek_root
+        return [peek(v) for v in range(self.graph.n)]
+
+    def counters(self) -> dict:
+        return {
+            "tree_deletes": self.tree_deletes,
+            "splits": self.splits,
+            "split_visited_total": self.split_visited_total,
+            "probe_total": self.probe_total,
+            **self.dsets.counters(),
+        }
+
+    def stats(self) -> dict:
         f = self.forest
         roots = f.roots()
         return {

@@ -236,6 +236,15 @@ class DisjointSetForest:
 
     # -- inspection --------------------------------------------------------
 
+    def counters(self):
+        return {
+            "find_calls": self.find_calls,
+            "find_visits": self.find_visits,
+            "link_calls": self.link_calls,
+            "isolate_calls": self.isolate_calls,
+            "isolate_child_moves": self.isolate_child_moves,
+        }
+
     def root_vertices(self):
         parent = self._parent
         vid = self._vid

@@ -165,19 +165,6 @@ class SpanningForest:
 
     # -- edge-level operations -----------------------------------------
 
-    def insert_edge(self, u, v):
-        """Place a just-added graph edge; returns how it was classified."""
-        ru, du = self.find_root(u)
-        rv, dv = self.find_root(v)
-        if ru == rv:
-            return self._place_nontree(u, du, v, dv, ru)[0]
-        if self.size[ru] > self.size[rv]:
-            u, v = v, u
-            ru, rv = rv, ru
-        self.reroot(u)
-        self.link(u, v, rv)
-        return InsertKind.TREE_EDGE
-
     def insert_nontree(self, u, v):
         """Non-tree placement for callers that already know the endpoints
         share a tree.  Returns (kind, root after any rotation)."""

@@ -66,7 +66,8 @@ class TwoEdgeForest(SpanningForest):
 
     def cut_bridge(self, u, v):
         """Remove tree edge (u, v), v being u's parent.  Only bridges
-        (counter zero) may be cut; covered edges need delete_tree."""
+        (counter zero) may be cut; covered edges are cut by the index,
+        which withdraws their covers first."""
         parent = self.parent
         if parent[u] != v:
             raise ValueError(f"({u}, {v}) is not a child-to-parent tree edge")
@@ -97,53 +98,7 @@ class TwoEdgeForest(SpanningForest):
             raise OutOfRange(f"query ({u}, {v})")
         return self.ecc_root(u) == self.ecc_root(v)
 
-    # -- counter walks -------------------------------------------------------
-
-    def add_cover(self, u, v, delta):
-        """Adjust by delta the counter of every tree edge between u and v.
-
-        Returns the meeting vertex (the endpoints' lowest common
-        ancestor).  Endpoints must share a tree.
-        """
-        parent = self.parent
-        size = self.size
-        rep = self.rep
-        fu, fv = u, v
-        while fu != fv:
-            if size[fu] < size[fv]:
-                r = rep[fu] + delta
-                if r < 0:
-                    raise RepUnderflow(f"cover count below zero above {fu}")
-                rep[fu] = r
-                fu = parent[fu]
-            else:
-                r = rep[fv] + delta
-                if r < 0:
-                    raise RepUnderflow(f"cover count below zero above {fv}")
-                rep[fv] = r
-                fv = parent[fv]
-        return fu
-
-    # -- edge-level operations -------------------------------------------------
-
-    def insert_edge(self, u, v):
-        """Place a just-added edge: covering walk inside a tree, size-ordered
-        attach across trees.  No depth-gap rewiring in this forest; the
-        covering counters pay for the bookkeeping instead."""
-        ru = self._root(u)
-        rv = self._root(v)
-        if ru == rv:
-            self.add_cover(u, v, 1)
-            return InsertKind.NONTREE_NOOP
-        if self.size[ru] > self.size[rv]:
-            u, v, ru, rv = v, u, rv, ru
-        self.reroot(u)
-        self.link(u, v, rv)
-        return InsertKind.TREE_EDGE
-
-    def delete_nontree(self, u, v):
-        self.add_cover(u, v, -1)
-        return DeleteKind.NONTREE
+    # -- tree-edge deletion support ------------------------------------------
 
     def orient_cut(self, u, v):
         """Prepare tree edge (u, v) for cutting: ensure the child side is
@@ -191,29 +146,6 @@ class TwoEdgeForest(SpanningForest):
             e for e in found
             if e != ckey and ((e[0] in seen) != (e[1] in seen))
         ]
-
-    def delete_tree(self, u, v):
-        """Cut tree edge (u, v), re-deriving the counters it carried.
-
-        Every crossing edge is un-counted, the bare bridge is cut, and
-        the crossers are re-placed in discovery order: the first one
-        becomes the new tree edge, the rest walk as covers again.
-        """
-        child, big_root = self.orient_cut(u, v)
-        crossing = self.getrep(child, big_root, (u, v))
-        for x, y in crossing:
-            self.add_cover(x, y, -1)
-        self.cut_bridge(child, self.parent[child])
-        for x, y in crossing:
-            self.insert_edge(x, y)
-        return DeleteKind.TREE_REPLACED if crossing else DeleteKind.TREE_SPLIT
-
-    def delete_edge(self, u, v):
-        """Tree/non-tree dispatch for callers without a class index."""
-        parent = self.parent
-        if parent[u] == v or parent[v] == u:
-            return self.delete_tree(u, v)
-        return self.delete_nontree(u, v)
 
 
 class SizedDisjointSet(DisjointSetForest):
@@ -273,18 +205,19 @@ class TwoEdgeIndex:
         return self._place(u, v)
 
     def delete2(self, u: int, v: int) -> DeleteKind:
+        # validated (range, self-loop, presence) before the forest arrays
+        # are indexed, so bad input raises before anything changes
+        if not self.graph.has_edge(u, v):
+            raise EdgeAbsent(f"edge ({u}, {v}) not present")
         f = self.forest
         if f.parent[u] == v or f.parent[v] == u:
-            if not self.graph.has_edge(u, v):
-                raise EdgeAbsent(f"edge ({u}, {v}) not present")
             # the adjacency keeps the edge until the bridge is cut: while
             # covers are being withdrawn it is still a tree edge, and the
             # class-split scans must be able to walk through it
-            out = self._delete_tree(u, v)
+            out = self._cut_tree_edge(u, v)
             self.graph.remove_edge(u, v)
             return out
-        if not self.graph.remove_edge(u, v):
-            raise EdgeAbsent(f"edge ({u}, {v}) not present")
+        self.graph.remove_edge(u, v)
         self._uncover(u, v)
         return DeleteKind.NONTREE
 
@@ -294,15 +227,20 @@ class TwoEdgeIndex:
             raise OutOfRange(f"query ({u}, {v})")
         return self.csets.same_set(u, v)
 
-    def tree_two_edge_connected(self, u: int, v: int) -> bool:
-        """Same answer as two_edge_connected(), from forest walks."""
-        return self.forest.query2(u, v)
-
     def connected(self, u: int, v: int) -> bool:
         """Plain connectivity, by root walks (no set forest for this here)."""
         return self.forest.query(u, v)
 
-    def ecc2_stats(self) -> dict:
+    def partition(self) -> list:
+        """Class representative of every vertex, read without compressing
+        or counting."""
+        peek = self.csets.peek_root
+        return [peek(v) for v in range(self.graph.n)]
+
+    def counters(self) -> dict:
+        return self.csets.counters()
+
+    def stats(self) -> dict:
         f = self.forest
         n = self.graph.n
         sets = self.csets
@@ -397,7 +335,7 @@ class TwoEdgeIndex:
                     sets.isolate(y)
                     sets.union(y, w)
 
-    def _delete_tree(self, u, v):
+    def _cut_tree_edge(self, u, v):
         # every crossing edge is withdrawn (splitting classes as covers
         # hit zero), the bare bridge is cut, and the crossers come back
         # one by one (merging classes as covers leave zero).  Tempting

@@ -37,9 +37,6 @@ from .two_edge import TwoEdgeIndex
 
 class EventKind(Enum):
     INSERT = "insert"
-    DELETE = "delete"
-    QUERY_CONN = "query_conn"
-    QUERY_2EC = "query_2ec"
 
 
 @dataclass
@@ -221,56 +218,29 @@ def build_index(stream, mode="conn"):
     a no-op event, as temporal datasets repeat edges freely.
     """
     idx = new_index(stream.n, mode)
-    ins, delete, _ = index_ops(idx)
+    ins = index_ops(idx)[0]
     g = idx.graph
     dup = 0
     for ev in stream.events:
-        if ev.kind is EventKind.INSERT:
-            if g.has_edge(ev.u, ev.v):
-                dup += 1
-            else:
-                ins(ev.u, ev.v)
-        elif ev.kind is EventKind.DELETE and g.has_edge(ev.u, ev.v):
-            delete(ev.u, ev.v)
+        if g.has_edge(ev.u, ev.v):
+            dup += 1
+        else:
+            ins(ev.u, ev.v)
     return idx, dup
 
 
-def _partition_of(idx):
-    if isinstance(idx, TwoEdgeIndex):
-        sets = idx.csets
-    else:
-        sets = idx.dsets
-    return Partition([sets.peek_root(v) for v in range(idx.graph.n)])
-
-
-def _counter_snapshot(idx):
-    if isinstance(idx, ConnectivityIndex):
-        ds = idx.dsets
-        return (idx.tree_deletes, idx.splits, idx.split_visited_total,
-                idx.probe_total, ds.find_calls, ds.find_visits)
-    ds = idx.csets
-    return (0, 0, 0, 0, ds.find_calls, ds.find_visits)
-
-
-def _apply_structure_stats(report, idx, snap):
-    """Depth plus per-phase means derived from counter deltas."""
+def _apply_structure_stats(report, idx, before):
+    """Depth plus per-phase means derived from counter deltas; a mean
+    whose counters the index does not keep stays absent."""
     report.avg_depth_id = idx.forest.average_depth()
-    if isinstance(idx, ConnectivityIndex):
-        ds = idx.dsets
-        td = idx.tree_deletes - snap[0]
-        sp = idx.splits - snap[1]
-        vis = idx.split_visited_total - snap[2]
-        pr = idx.probe_total - snap[3]
-        if sp:
-            report.avg_S = vis / sp
-        if td:
-            report.avg_search = pr / td
-    else:
-        ds = idx.csets
-    fc = ds.find_calls - snap[4]
-    fv = ds.find_visits - snap[5]
-    if fc:
-        report.avg_finds_len = fv / fc
+    now = idx.counters()
+    d = {k: v - before[k] for k, v in now.items()}
+    if d.get("splits"):
+        report.avg_S = d["split_visited_total"] / d["splits"]
+    if d.get("tree_deletes"):
+        report.avg_search = d["probe_total"] / d["tree_deletes"]
+    if d["find_calls"]:
+        report.avg_finds_len = d["find_visits"] / d["find_calls"]
 
 
 # -- benchmark protocols -------------------------------------------------------
@@ -291,8 +261,8 @@ def run_random_cycle(idx, k, seed=0):
     rng = random.Random(seed)
     victims = rng.sample(sorted(g.edges()), k)
 
-    before = _partition_of(idx)
-    snap = _counter_snapshot(idx)
+    before = Partition(idx.partition())
+    snap = idx.counters()
     t0 = time.perf_counter_ns()
     for u, v in victims:
         delete(u, v)
@@ -301,7 +271,7 @@ def run_random_cycle(idx, k, seed=0):
         ins(u, v)
     t2 = time.perf_counter_ns()
 
-    after = _partition_of(idx)
+    after = Partition(idx.partition())
     if after != before:
         raise AssertionError("delete/re-insert cycle failed to restore the partition")
     if g.n <= 1000:
@@ -335,14 +305,14 @@ def run_sliding_window(stream, pct, mode="conn", queries=0, seed=0):
     the edge's age.  With `queries`, a seeded query batch runs against
     the final window.
     """
-    events = [e for e in stream.events if e.kind is EventKind.INSERT]
+    events = stream.events
     if any(e.t is None for e in events):
         raise MissingTimestamps("sliding windows need 'u v t' rows throughout")
     idx = new_index(stream.n, mode)
     ins, delete, query = index_ops(idx)
     g = idx.graph
     span = max(e.t for e in events) - min(e.t for e in events) if events else 0
-    snap = _counter_snapshot(idx)
+    snap = idx.counters()
 
     window = deque()
     ins_ns = del_ns = 0
@@ -411,15 +381,10 @@ class FuzzOutcome:
 class _LiveEdges:
     """Edge multiset with O(1) seeded uniform choice (swap-remove list)."""
 
-    def __init__(self):
+    def __init__(self, n):
+        self.n = n
         self.items = []
         self.pos = {}
-
-    def __len__(self):
-        return len(self.items)
-
-    def __contains__(self, e):
-        return e in self.pos
 
     def add(self, e):
         self.pos[e] = len(self.items)
@@ -434,6 +399,31 @@ class _LiveEdges:
 
     def choose(self, rng):
         return self.items[rng.randrange(len(self.items))]
+
+    def mutate(self, rng, inserting, insert, delete):
+        """Insert a seeded absent edge or delete a seeded live one through
+        the index's `insert`/`delete`; flipped when the graph is complete
+        or empty."""
+        n = self.n
+        if inserting and len(self.items) == n * (n - 1) // 2:
+            inserting = False
+        elif not inserting and not self.items:
+            inserting = True
+        if inserting:
+            while True:
+                u = rng.randrange(n)
+                v = rng.randrange(n)
+                if u == v:
+                    continue
+                e = (u, v) if u < v else (v, u)
+                if e not in self.pos:
+                    break
+            insert(*e)
+            self.add(e)
+        else:
+            e = self.choose(rng)
+            self.remove(e)
+            delete(*e)
 
 
 def run_connectivity_fuzz(n=64, ops=50_000, seed=0, check_every=100,
@@ -453,7 +443,7 @@ def run_connectivity_fuzz(n=64, ops=50_000, seed=0, check_every=100,
     g = idx.graph
     forest = idx.forest
     sets = idx.dsets
-    live = _LiveEdges()
+    live = _LiveEdges(n)
     violations = []
     vcount = root_vcount = 0
 
@@ -465,33 +455,12 @@ def run_connectivity_fuzz(n=64, ops=50_000, seed=0, check_every=100,
         if len(violations) < 20:
             violations.append(msg)
 
-    full = n * (n - 1) // 2
     queries = checks = 0
     t_start = time.perf_counter()
     for step in range(ops):
         r = rng.random()
         if r < 0.8:
-            # mutation; flipped when the graph is complete or empty
-            inserting = r < 0.4
-            if inserting and len(live) == full:
-                inserting = False
-            elif not inserting and not len(live):
-                inserting = True
-            if inserting:
-                while True:
-                    u = rng.randrange(n)
-                    v = rng.randrange(n)
-                    if u == v:
-                        continue
-                    e = (u, v) if u < v else (v, u)
-                    if e not in live:
-                        break
-                idx.insert(*e)
-                live.add(e)
-            else:
-                e = live.choose(rng)
-                live.remove(e)
-                idx.delete(*e)
+            live.mutate(rng, r < 0.4, idx.insert, idx.delete)
         else:
             u = rng.randrange(n)
             v = rng.randrange(n)
@@ -549,7 +518,7 @@ def run_two_ec_fuzz(n=48, ops=20_000, seed=0, check_every=50):
     idx = TwoEdgeIndex(n)
     g = idx.graph
     forest = idx.forest
-    live = _LiveEdges()
+    live = _LiveEdges(n)
     violations = []
     vcount = 0
 
@@ -567,33 +536,13 @@ def run_two_ec_fuzz(n=48, ops=20_000, seed=0, check_every=50):
             if (p := parent[x]) != -1
         }
 
-    full = n * (n - 1) // 2
     queries = checks = 0
     cached = None
     t_start = time.perf_counter()
     for step in range(ops):
         r = rng.random()
         if r < 0.8:
-            inserting = r < 0.4
-            if inserting and len(live) == full:
-                inserting = False
-            elif not inserting and not len(live):
-                inserting = True
-            if inserting:
-                while True:
-                    u = rng.randrange(n)
-                    v = rng.randrange(n)
-                    if u == v:
-                        continue
-                    e = (u, v) if u < v else (v, u)
-                    if e not in live:
-                        break
-                idx.insert2(*e)
-                live.add(e)
-            else:
-                e = live.choose(rng)
-                live.remove(e)
-                idx.delete2(*e)
+            live.mutate(rng, r < 0.4, idx.insert2, idx.delete2)
             cached = None
         else:
             u = rng.randrange(n)

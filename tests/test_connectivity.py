@@ -70,7 +70,7 @@ def test_component_stats():
     idx = ConnectivityIndex(5)
     idx.insert(0, 1)
     idx.insert(1, 2)
-    stats = idx.component_stats()
+    stats = idx.stats()
     assert stats["vertices"] == 5
     assert stats["edges"] == 2
     assert stats["components"] == 3

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynconn.connectivity import ConnectivityIndex
 from dynconn.errors import AlreadyRoot
 from dynconn.graph import DynamicGraph
 from dynconn.oracle import Partition, oracle_components
@@ -12,6 +13,20 @@ def make(n, edges=()):
     for u, v in edges:
         g.add_edge(u, v)
     return g, SpanningForest(g)
+
+
+def recording(idx):
+    """List that collects every DeletionOutcome of the index's forest."""
+    outs = []
+    delete_edge = idx.forest.delete_edge
+
+    def record(u, v):
+        out = delete_edge(u, v)
+        outs.append(out)
+        return out
+
+    idx.forest.delete_edge = record
+    return outs
 
 
 def shape(forest, parent, size):
@@ -67,16 +82,18 @@ def test_link_keeps_root_when_balanced():
 
 
 def test_insert_tree_edge_smaller_under_larger():
-    g, f = make(6, [(0, 1), (0, 2)])
-    shape(f, [-1, 0, 0, -1, -1, -1], [3, 1, 1, 1, 1, 1])
-    g.add_edge(5, 1)
-    assert f.insert_edge(5, 1) is InsertKind.TREE_EDGE
+    idx = ConnectivityIndex(6)
+    idx.insert(0, 1)
+    idx.insert(0, 2)
+    f = idx.forest
+    assert (f.parent, f.size) == ([-1, 0, 0, -1, -1, -1], [3, 1, 1, 1, 1, 1])
+    assert idx.insert(5, 1) is InsertKind.TREE_EDGE
     assert f.parent[5] == 1  # singleton went under the size-3 tree
     f.check_integrity()
     # equal sizes: first argument's tree is the one that moves
-    g2, f2 = make(2, [(0, 1)])
-    assert f2.insert_edge(0, 1) is InsertKind.TREE_EDGE
-    assert f2.parent == [1, -1]
+    idx2 = ConnectivityIndex(2)
+    assert idx2.insert(0, 1) is InsertKind.TREE_EDGE
+    assert idx2.forest.parent == [1, -1]
 
 
 def test_insert_nontree_small_gap_is_noop():
@@ -131,10 +148,12 @@ def test_delete_nontree_is_free():
 
 
 def test_delete_two_vertex_split():
-    g, f = make(2, [(0, 1)])
-    assert f.insert_edge(0, 1) is InsertKind.TREE_EDGE
-    g.remove_edge(0, 1)
-    out = f.delete_edge(0, 1)
+    idx = ConnectivityIndex(2)
+    f = idx.forest
+    outs = recording(idx)
+    assert idx.insert(0, 1) is InsertKind.TREE_EDGE
+    assert idx.delete(0, 1) is DeleteKind.TREE_SPLIT
+    (out,) = outs
     assert out.kind is DeleteKind.TREE_SPLIT
     assert not out.replaced
     assert out.small_root == 0 and out.big_root == 1
@@ -145,13 +164,14 @@ def test_delete_two_vertex_split():
 def test_delete_tree_edge_replacement_found():
     # star at 1 with chord (2,3): deleting spoke (1,2) reconnects through
     # the chord, hanging the detached vertex under the chord's far end
-    g, f = make(4)
+    idx = ConnectivityIndex(4)
+    f = idx.forest
+    outs = recording(idx)
     for e in [(0, 1), (1, 2), (1, 3), (2, 3)]:
-        g.add_edge(*e)
-        f.insert_edge(*e)
+        idx.insert(*e)
     assert f.parent == [1, -1, 1, 1]
-    g.remove_edge(1, 2)
-    out = f.delete_edge(1, 2)
+    assert idx.delete(1, 2) is DeleteKind.TREE_REPLACED
+    (out,) = outs
     assert out.kind is DeleteKind.TREE_REPLACED
     assert out.replaced
     assert out.small_root == 2 and out.big_root == 1
@@ -174,9 +194,10 @@ def test_delete_swaps_when_detached_side_is_bigger():
 
 
 def test_queries_do_not_mutate():
-    g, f = make(6, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    idx = ConnectivityIndex(6)
     for e in [(0, 1), (1, 2), (2, 3), (3, 4)]:
-        f.insert_edge(*e)
+        idx.insert(*e)
+    f = idx.forest
     snap = (list(f.parent), list(f.size))
     for u in range(6):
         for v in range(6):
@@ -193,18 +214,19 @@ ops_strategy = st.lists(
 @given(ops_strategy)
 @settings(max_examples=120, deadline=None)
 def test_random_ops_agree_with_oracle(pairs):
-    g, f = make(12)
+    idx = ConnectivityIndex(12)
+    g, f = idx.graph, idx.forest
+    outs = recording(idx)
     for u, v in pairs:
         if u == v:
             continue
         if g.has_edge(u, v):
-            g.remove_edge(u, v)
-            out = f.delete_edge(u, v)
+            idx.delete(u, v)
+            out = outs[-1]
             # no vertex is examined twice during one replacement search
             assert len(out.visited) == len(set(out.visited)) <= 12
         else:
-            g.add_edge(u, v)
-            f.insert_edge(u, v)
+            idx.insert(u, v)
         for x in range(12):
             p = f.parent[x]
             if p != -1:
@@ -216,11 +238,11 @@ def test_random_ops_agree_with_oracle(pairs):
 @given(ops_strategy, st.integers(0, 11))
 @settings(max_examples=60, deadline=None)
 def test_reroot_keeps_partition_and_sizes(pairs, pivot):
-    g, f = make(12)
+    idx = ConnectivityIndex(12)
+    g, f = idx.graph, idx.forest
     for u, v in pairs:
         if u != v and not g.has_edge(u, v):
-            g.add_edge(u, v)
-            f.insert_edge(u, v)
+            idx.insert(u, v)
     before = forest_partition(f)
     f.reroot(pivot)
     assert f.parent[pivot] == -1

@@ -2,13 +2,16 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynconn.errors import (
     DuplicateEdge,
     EdgeAbsent,
     HasReplacements,
+    OutOfRange,
     RepUnderflow,
+    SelfLoop,
 )
 from dynconn.graph import DynamicGraph
 from dynconn.oracle import (
@@ -96,9 +99,8 @@ def test_uncover_below_zero_raises():
     idx = TwoEdgeIndex(3)
     idx.insert2(0, 1)
     idx.insert2(1, 2)
-    f = idx.forest
     try:
-        f.add_cover(0, 2, -1)
+        idx._uncover(0, 2)
         assert False
     except RepUnderflow:
         pass
@@ -113,7 +115,7 @@ def test_nontree_delete_splits_triangle_into_singletons():
     assert not idx.two_edge_connected(0, 1)
     assert not idx.two_edge_connected(1, 2)
     assert idx.connected(0, 2)
-    stats = idx.ecc2_stats()
+    stats = idx.stats()
     assert stats["classes"] == 3
     assert stats["bridges"] == 2
     check_index(idx)
@@ -128,7 +130,7 @@ def test_multi_cover_tree_delete_keeps_classes():
     before = class_partition(idx)
     assert idx.delete2(0, 1) == DeleteKind.TREE_REPLACED
     assert class_partition(idx) == before
-    assert idx.ecc2_stats()["classes"] == 1
+    assert idx.stats()["classes"] == 1
     check_index(idx)
 
 
@@ -140,7 +142,7 @@ def test_double_cover_delete_can_still_split_classes():
         idx = TwoEdgeIndex(4)
         for e in edges:
             idx.insert2(*e)
-        assert idx.ecc2_stats()["classes"] == 1
+        assert idx.stats()["classes"] == 1
         idx.delete2(*victim)
         check_index(idx)
     # the concrete stranding case: losing (1,2) leaves vertex 1 pendant
@@ -161,13 +163,13 @@ def test_single_cover_tree_delete_reuses_the_cover():
     idx = TwoEdgeIndex(4)
     for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
         idx.insert2(a, b)
-    assert idx.ecc2_stats()["classes"] == 1
+    assert idx.stats()["classes"] == 1
     tree = [x for x in range(4) if idx.forest.parent[x] != -1]
     child = tree[0]
     out = idx.delete2(child, idx.forest.parent[child])
     assert out == DeleteKind.TREE_REPLACED
     # the square minus one edge is a path: every remaining edge a bridge
-    stats = idx.ecc2_stats()
+    stats = idx.stats()
     assert stats["classes"] == 4
     assert stats["bridges"] == 3
     check_index(idx)
@@ -189,7 +191,7 @@ def test_pendant_triangle_keeps_its_class_through_bridge_delete():
     idx = TwoEdgeIndex(5)
     for a, b in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 2)):
         idx.insert2(a, b)
-    stats = idx.ecc2_stats()
+    stats = idx.stats()
     assert stats["classes"] == 3
     assert stats["largest_class"] == 3
     assert stats["bridges"] == 2
@@ -197,7 +199,7 @@ def test_pendant_triangle_keeps_its_class_through_bridge_delete():
     assert not idx.two_edge_connected(1, 2)
     # deleting a triangle edge degrades everything to bridges
     idx.delete2(3, 4)
-    stats = idx.ecc2_stats()
+    stats = idx.stats()
     assert stats["classes"] == 5
     assert stats["bridges"] == 4
     check_index(idx)
@@ -207,9 +209,9 @@ def test_insert_merges_classes_across_old_bridges():
     idx = TwoEdgeIndex(6)
     for a, b in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)):
         idx.insert2(a, b)
-    assert idx.ecc2_stats()["classes"] == 6
+    assert idx.stats()["classes"] == 6
     idx.insert2(0, 5)  # closes the cycle: one class
-    assert idx.ecc2_stats()["classes"] == 1
+    assert idx.stats()["classes"] == 1
     assert idx.two_edge_connected(0, 5)
     assert idx.two_edge_connected(2, 4)
     check_index(idx)
@@ -228,6 +230,10 @@ def test_error_vocabulary():
         assert False
     except EdgeAbsent:
         pass
+    with pytest.raises(OutOfRange):
+        idx.delete2(10, 1)
+    with pytest.raises(SelfLoop):
+        idx.delete2(1, 1)
 
 
 # -- sized sets ---------------------------------------------------------------
@@ -324,9 +330,15 @@ def test_cover_walk_meets_at_lowest_common_ancestor(seed, n):
     while a != b:
         a = f.parent[a]
         b = f.parent[b]
+    below = set()  # tree edges on the u-v path, named by their child end
+    for x in (u, v):
+        while x != a:
+            below.add(x)
+            x = f.parent[x]
     before = list(f.rep)
-    assert f.add_cover(u, v, 1) == a
-    assert f.add_cover(u, v, -1) == a
+    idx._place(u, v)
+    assert [r - b for r, b in zip(f.rep, before)] == [int(x in below) for x in range(n)]
+    idx._uncover(u, v)
     assert f.rep == before
 
 
@@ -346,4 +358,4 @@ def test_dense_then_sparse_lifecycle(seed):
         idx.delete2(*e)
         check_index(idx)
     assert idx.graph.m == 0
-    assert idx.ecc2_stats()["classes"] == n
+    assert idx.stats()["classes"] == n

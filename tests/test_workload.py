@@ -90,6 +90,17 @@ def test_build_counts_duplicate_arrivals():
     assert idx.connected(0, 2)
 
 
+def test_partition_read_leaves_counters_alone():
+    # the cycle report reads the partition between its counter snapshots,
+    # so a read must neither compress nor count
+    stream = random_edge_stream(40, 80, seed=2)
+    for mode in ("conn", "2ec"):
+        idx, _ = build_index(stream, mode)
+        before = idx.counters()
+        assert len(idx.partition()) == 40
+        assert idx.counters() == before
+
+
 # -- random cycle ----------------------------------------------------------
 
 
