@@ -38,9 +38,12 @@ class DisjointSetForest:
             pre[2 * n + h] = n + h
         self._pre = pre
         self._nxt = nxt
-        # instrumentation (cheap ints, read by the benchmarks)
-        self.find_calls = 0
-        self.find_visits = 0
+        # instrumentation (cheap ints, read by the benchmarks); the
+        # find_calls and find_visits properties add up the first four
+        self._finds = 0
+        self._find_visits = 0
+        self._inline_pairs = 0
+        self._inline_roots = 0
         self.link_calls = 0
         self.isolate_calls = 0
         self.isolate_child_moves = 0
@@ -101,8 +104,8 @@ class DisjointSetForest:
         h = self._slot[u]
         p = parent[h]
         if p == h:
-            self.find_calls += 1
-            self.find_visits += 1
+            self._finds += 1
+            self._find_visits += 1
             return u
         r = p
         pr = parent[r]
@@ -113,49 +116,39 @@ class DisjointSetForest:
             k += 1
         if p != r:
             self._relink_path(h, r)
-        self.find_calls += 1
-        self.find_visits += k
+        self._finds += 1
+        self._find_visits += k
         return self._vid[r]
 
     def same_set(self, u, v):
-        """find(u) == find(v), fused into one pass for the hot query path."""
+        """find(u) == find(v).
+
+        Compression leaves almost every record at most one step below its
+        root, and there neither find walks nor relinks, so that case is
+        answered inline.  It counts once per pair, plus once per record
+        that is itself a root, and find_calls/find_visits expand that."""
         parent = self._parent
-        slot = self._slot
-        h = slot[u]
-        p = parent[h]
-        if p == h:
-            ru = h
-            k = 1
-        else:
-            r = p
-            pr = parent[r]
-            k = 2
-            while pr != r:
-                r = pr
-                pr = parent[r]
-                k += 1
-            if p != r:
-                self._relink_path(h, r)
-            ru = r
-        h = slot[v]
-        p = parent[h]
-        if p == h:
-            rv = h
-            k += 1
-        else:
-            r = p
-            pr = parent[r]
-            k += 2
-            while pr != r:
-                r = pr
-                pr = parent[r]
-                k += 1
-            if p != r:
-                self._relink_path(h, r)
-            rv = r
-        self.find_calls += 2
-        self.find_visits += k
+        hu = self._slot[u]
+        hv = self._slot[v]
+        ru = parent[hu]
+        rv = parent[hv]
+        if parent[ru] != ru or parent[rv] != rv:
+            return self.find(u) == self.find(v)
+        self._inline_pairs += 1
+        if ru == hu or rv == hv:
+            self._inline_roots += (ru == hu) + (rv == hv)
         return ru == rv
+
+    @property
+    def find_calls(self):
+        """Finds so far, each same_set counting as two."""
+        return self._finds + 2 * self._inline_pairs
+
+    @property
+    def find_visits(self):
+        """Records those finds walked, roots included: an inline pair
+        walks two per side, one where the side's record is a root."""
+        return self._find_visits + 4 * self._inline_pairs - self._inline_roots
 
     # -- structural operations --------------------------------------------
 
