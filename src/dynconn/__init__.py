@@ -15,6 +15,7 @@ from .errors import (
     DynConnError,
     EdgeAbsent,
     HasReplacements,
+    InvariantError,
     IsRoot,
     KTooLarge,
     MissingTimestamps,
@@ -79,6 +80,7 @@ __all__ = [
     "NotRoot",
     "HasReplacements",
     "RepUnderflow",
+    "InvariantError",
     "KTooLarge",
     "MissingTimestamps",
     "ParseError",

@@ -18,7 +18,7 @@ of being rebuilt:
 from __future__ import annotations
 
 from .disjoint_set import DisjointSetForest
-from .errors import DuplicateEdge, EdgeAbsent, OutOfRange
+from .errors import DuplicateEdge, EdgeAbsent, InvariantError, OutOfRange
 from .graph import DynamicGraph
 from .spanning_forest import DeleteKind, InsertKind, SpanningForest
 
@@ -123,4 +123,5 @@ class ConnectivityIndex:
     def _audit(self):
         # every spanning-tree root must be its own set representative
         for r in self.forest.roots():
-            assert self.dsets.find(r) == r, f"root {r} lost set ownership"
+            if self.dsets.find(r) != r:
+                raise InvariantError(f"root {r} lost set ownership")

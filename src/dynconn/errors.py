@@ -41,6 +41,10 @@ class RepUnderflow(DynConnError):
     """A crossing-edge counter would go negative."""
 
 
+class InvariantError(DynConnError):
+    """An internal consistency check failed: the structure is corrupt."""
+
+
 class KTooLarge(DynConnError):
     """Asked to delete more edges than the graph holds."""
 

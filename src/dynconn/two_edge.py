@@ -11,10 +11,17 @@ walk toward their lowest common ancestor, always advancing whichever
 pointer owns the smaller subtree (sizes strictly grow upward, so the
 pointers cannot overshoot the meeting point).
 
+Deleting a covered tree edge f is one swap T' = T - f + e, e being the
+first crossing edge the small-side scan finds.  Only the counters on
+e's old tree path, which ran through f, change: an edge of that path
+below which c of the K crossing edges end gains K - 2c on e's branches
+and loses K - 2c on f's, and e itself starts at K - 1.  Each side's c
+values come from one pass of marked upward walks.
+
 On top of the forest sits a second disjoint-set forest, one set per
 2-edge class with member counts.  A counter rising off zero merges two
 classes; a counter falling to zero carves the child's side out into a
-class of its own.
+class of its own.  A deletion only lowers counters, so it only splits.
 """
 
 from __future__ import annotations
@@ -22,7 +29,14 @@ from __future__ import annotations
 from collections import deque
 
 from .disjoint_set import DisjointSetForest
-from .errors import DuplicateEdge, EdgeAbsent, HasReplacements, OutOfRange, RepUnderflow
+from .errors import (
+    DuplicateEdge,
+    EdgeAbsent,
+    HasReplacements,
+    InvariantError,
+    OutOfRange,
+    RepUnderflow,
+)
 from .graph import DynamicGraph
 from .spanning_forest import DeleteKind, InsertKind, SpanningForest
 
@@ -33,6 +47,7 @@ class TwoEdgeForest(SpanningForest):
     def __init__(self, graph):
         super().__init__(graph)
         self.rep = [0] * graph.n
+        self.probes = 0  # adjacency entries read by the last getrep
 
     # -- primitives, counter-aware ---------------------------------------
 
@@ -66,8 +81,8 @@ class TwoEdgeForest(SpanningForest):
 
     def cut_bridge(self, u, v):
         """Remove tree edge (u, v), v being u's parent.  Only bridges
-        (counter zero) may be cut; covered edges are cut by the index,
-        which withdraws their covers first."""
+        (counter zero) may be cut; a covered edge is swapped out by the
+        index for one of its crossing edges instead."""
         parent = self.parent
         if parent[u] != v:
             raise ValueError(f"({u}, {v}) is not a child-to-parent tree edge")
@@ -115,37 +130,34 @@ class TwoEdgeForest(SpanningForest):
             return v, u
         return u, root
 
-    def getrep(self, small_root, big_root, cut):
-        """Non-tree edges crossing the pending cut, in discovery order.
+    def getrep(self, small_root, big_root):
+        """Non-tree edges crossing the pending cut above small_root, as
+        (small end, big end) pairs in discovery order.
 
-        Scans the small side breadth-first.  The cut edge itself never
-        crosses: from the child it is the skipped parent edge, and it is
-        filtered by key regardless, so the adjacency may still hold it.
-        Edges are deduplicated in canonical (min, max) form; edges
-        internal to the small side are dropped.
+        The graph edge being cut must already be gone from the
+        adjacency.  The small side is stamped breadth-first, then its
+        adjacency is read again for neighbors left unstamped.  The number
+        of adjacency entries on the small side is left in `probes`.
         """
         parent = self.parent
         adj = self.graph.adj
-        seen = {small_root}
-        found = {}
-        queue = deque((small_root,))
-        while queue:
-            x = queue.popleft()
-            px = parent[x]
-            for y in adj[x]:
-                if y == px:
-                    continue
-                if parent[y] == x:
-                    queue.append(y)
-                    seen.add(y)
-                else:
-                    found[(x, y) if x < y else (y, x)] = None
-        assert big_root not in seen, "small-side scan leaked across the cut"
-        ckey = (cut[0], cut[1]) if cut[0] < cut[1] else (cut[1], cut[0])
-        return [
-            e for e in found
-            if e != ckey and ((e[0] in seen) != (e[1] in seen))
-        ]
+        self._epoch += 1
+        epoch = self._epoch
+        mark = self._mark
+        mark[small_root] = epoch
+        side = [small_root]
+        probes = 0
+        for x in side:  # grows while it is read: breadth-first order
+            nbrs = adj[x]
+            probes += len(nbrs)
+            for y in nbrs:
+                if parent[y] == x and mark[y] != epoch:
+                    mark[y] = epoch
+                    side.append(y)
+        if mark[big_root] == epoch:
+            raise InvariantError("small-side scan leaked across the cut")
+        self.probes = probes
+        return [(x, y) for x in side for y in adj[x] if mark[y] != epoch]
 
 
 class SizedDisjointSet(DisjointSetForest):
@@ -198,6 +210,13 @@ class TwoEdgeIndex:
         self.graph = DynamicGraph(n)
         self.forest = TwoEdgeForest(self.graph)
         self.csets = SizedDisjointSet(n)
+        # which stamped path edge an upward walk of the swap ends on
+        self._land = [0] * n
+        # workload statistics, accumulated over tree-edge deletions
+        self.tree_deletes = 0
+        self.splits = 0
+        self.split_visited_total = 0
+        self.probe_total = 0
 
     def insert2(self, u: int, v: int) -> InsertKind:
         if not self.graph.add_edge(u, v):
@@ -207,17 +226,11 @@ class TwoEdgeIndex:
     def delete2(self, u: int, v: int) -> DeleteKind:
         # validated (range, self-loop, presence) before the forest arrays
         # are indexed, so bad input raises before anything changes
-        if not self.graph.has_edge(u, v):
+        if not self.graph.remove_edge(u, v):
             raise EdgeAbsent(f"edge ({u}, {v}) not present")
         f = self.forest
         if f.parent[u] == v or f.parent[v] == u:
-            # the adjacency keeps the edge until the bridge is cut: while
-            # covers are being withdrawn it is still a tree edge, and the
-            # class-split scans must be able to walk through it
-            out = self._cut_tree_edge(u, v)
-            self.graph.remove_edge(u, v)
-            return out
-        self.graph.remove_edge(u, v)
+            return self._cut_tree_edge(u, v)
         self._uncover(u, v)
         return DeleteKind.NONTREE
 
@@ -238,7 +251,13 @@ class TwoEdgeIndex:
         return [peek(v) for v in range(self.graph.n)]
 
     def counters(self) -> dict:
-        return self.csets.counters()
+        return {
+            "tree_deletes": self.tree_deletes,
+            "splits": self.splits,
+            "split_visited_total": self.split_visited_total,
+            "probe_total": self.probe_total,
+            **self.csets.counters(),
+        }
 
     def stats(self) -> dict:
         f = self.forest
@@ -336,21 +355,118 @@ class TwoEdgeIndex:
                     sets.union(y, w)
 
     def _cut_tree_edge(self, u, v):
-        # every crossing edge is withdrawn (splitting classes as covers
-        # hit zero), the bare bridge is cut, and the crossers come back
-        # one by one (merging classes as covers leave zero).  Tempting
-        # shortcut that does NOT work: skipping the set updates when the
-        # cut edge has 2+ covers.  The covers guarantee the component
-        # stays connected, not that its classes survive; two covers can
-        # share their remaining edges (square 0-1-2-3 with tree path
+        # The swap T' = T - f + e moves the covers along e's old cycle
+        # path only.  Class sets need splits and never merges there: a
+        # path counter can fall to zero but was positive before.  Even a
+        # cut covered twice can split (square 0-1-2-3 with tree path
         # 0-1-2-3 plus chords (3,0) and (0,2): cutting (1,2) strands
-        # vertex 1 behind a bridge although the cut was covered twice).
+        # vertex 1 behind a bridge), so every zero is split.
         f = self.forest
         child, big_root = f.orient_cut(u, v)
-        crossing = f.getrep(child, big_root, (u, v))
-        for x, y in crossing:
-            self._uncover(x, y)
-        f.cut_bridge(child, f.parent[child])
-        for x, y in crossing:
-            self._place(x, y)
-        return DeleteKind.TREE_REPLACED if crossing else DeleteKind.TREE_SPLIT
+        crossing = f.getrep(child, big_root)
+        self.tree_deletes += 1
+        self.probe_total += f.probes
+        p = f.parent[child]
+        if not crossing:
+            self.splits += 1
+            self.split_visited_total += f.size[child]
+            f.cut_bridge(child, p)
+            return DeleteKind.TREE_SPLIT
+        rep = f.rep
+        k = len(crossing)
+        if rep[child] != k:
+            raise InvariantError(f"cut edge above {child} counts {rep[child]} "
+                                 f"covers but {k} edges cross it")
+        f.unlink(child)
+        rep[child] = 0
+        x, y = crossing[0]
+        zeros = (self._shift_covers(x, child, crossing, 0, k)
+                 + self._shift_covers(y, p, crossing, 1, k))
+        # hang the smaller side, the lower id's on a tie, as a fresh
+        # insert of e would
+        if f.size[child] == f.size[big_root] and y < x:
+            f.reroot(y)
+            f.link(y, x, child)
+            rep[y] = k - 1
+        else:
+            f.reroot(x)
+            f.link(x, y, big_root)
+            rep[x] = k - 1
+        if k == 1:
+            zeros += 1  # e is a bridge
+        # split bottom-up along the cycle path, now the tree path child..p
+        size = f.size
+        parent = f.parent
+        a, b = child, p
+        while zeros and a != b:
+            if size[a] < size[b]:
+                w = a
+                a = parent[a]
+            else:
+                w = b
+                b = parent[b]
+            if rep[w] == 0:
+                self._split_class(w)
+                zeros -= 1
+        return DeleteKind.TREE_REPLACED
+
+    def _shift_covers(self, s, t, crossing, side, k):
+        """Counter updates of the swap on one side of the cut: s is the
+        replacement's end there, t the cut edge's, and `side` picks this
+        side's end of each crossing pair.  An edge of the s..t path below
+        which c of the k crossing ends lie gains k - 2c on s's branch and
+        loses k - 2c on t's.  Returns how many counters reached zero."""
+        f = self.forest
+        parent = f.parent
+        size = f.size
+        rep = f.rep
+        chains = ([], [])  # lower ends of the path's edges, s's then t's
+        a, b = s, t
+        while a != b:
+            if size[a] < size[b]:
+                chains[0].append(a)
+                a = parent[a]
+            else:
+                chains[1].append(b)
+                b = parent[b]
+        f._epoch += 1
+        epoch = f._epoch
+        mark = f._mark
+        land = self._land
+        path = chains[0] + chains[1]
+        for i, w in enumerate(path):
+            mark[w] = epoch
+            land[w] = i
+        while a != -1:  # the meeting point and above
+            mark[a] = epoch
+            land[a] = -1
+            a = parent[a]
+        hits = [0] * len(path)
+        for pair in crossing:
+            # up to stamped ground, then stamp the walked vertices with
+            # the path edge they lead to
+            end = pair[side]
+            w = end
+            while mark[w] != epoch:
+                w = parent[w]
+            i = land[w]
+            while mark[end] != epoch:
+                mark[end] = epoch
+                land[end] = i
+                end = parent[end]
+            if i >= 0:
+                hits[i] += 1
+        zeros = 0
+        i = 0
+        for sign, chain in ((1, chains[0]), (-1, chains[1])):
+            c = 0
+            for w in chain:
+                c += hits[i]
+                i += 1
+                r = rep[w] + sign * (k - 2 * c)
+                if r <= 0:
+                    if r < 0:
+                        raise RepUnderflow(f"cover count below zero above {w}")
+                    zeros += 1
+                rep[w] = r
+        return zeros

@@ -231,13 +231,13 @@ def build_index(stream, mode="conn"):
 
 def _apply_structure_stats(report, idx, before):
     """Depth plus per-phase means derived from counter deltas; a mean
-    whose counters the index does not keep stays absent."""
+    with no samples stays absent."""
     report.avg_depth_id = idx.forest.average_depth()
     now = idx.counters()
     d = {k: v - before[k] for k, v in now.items()}
-    if d.get("splits"):
+    if d["splits"]:
         report.avg_S = d["split_visited_total"] / d["splits"]
-    if d.get("tree_deletes"):
+    if d["tree_deletes"]:
         report.avg_search = d["probe_total"] / d["tree_deletes"]
     if d["find_calls"]:
         report.avg_finds_len = d["find_visits"] / d["find_calls"]

@@ -3,7 +3,7 @@
 import pytest
 
 from dynconn import cli
-from dynconn.workload import FuzzOutcome
+from dynconn.workload import FuzzOutcome, random_edge_stream
 
 
 @pytest.fixture
@@ -51,6 +51,18 @@ def test_bench_writes_csv_file(capsys, graph_file, tmp_path):
     assert text.startswith("metric,value\n")
     assert "cycle_k,2\n" in text
     assert "query_mean_ns," in text
+
+
+def test_bench_2ec_reports_tree_delete_statistics(capsys, tmp_path):
+    p = tmp_path / "g300.txt"
+    stream = random_edge_stream(300, 1200, seed=5)
+    p.write_text("".join(f"{ev.u} {ev.v}\n" for ev in stream.events))
+    rc, out, _ = run(capsys, "bench", "--input", str(p), "--mode", "2ec",
+                     "--k", "600", "--seed", "3", "--queries", "0")
+    assert rc == 0
+    stats = dict(line.split(",") for line in out.splitlines()[1:])
+    assert float(stats["avg_search"]) > 0
+    assert float(stats["avg_S"]) > 0
 
 
 def test_window_row_group_per_pct(capsys, temporal_file):

@@ -1,6 +1,10 @@
 """Covered forest, sized sets, and the 2-edge connectivity index."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +13,7 @@ from dynconn.errors import (
     DuplicateEdge,
     EdgeAbsent,
     HasReplacements,
+    InvariantError,
     OutOfRange,
     RepUnderflow,
     SelfLoop,
@@ -49,6 +54,14 @@ def check_index(idx):
     assert Partition([idx.forest.ecc_root(v) for v in range(g.n)]) == truth
     idx.forest.check_integrity()
     idx.csets.check_integrity()
+
+
+def _no_cover_walks(idx):
+    """Make the instance's cover walks raise: a tree delete must not walk."""
+    def refuse(*_):
+        raise AssertionError("tree delete ran a cover walk")
+    idx._place = refuse
+    idx._uncover = refuse
 
 
 # -- frozen small cases -------------------------------------------------------
@@ -149,7 +162,8 @@ def test_double_cover_delete_can_still_split_classes():
     idx = TwoEdgeIndex(4)
     for e in edges:
         idx.insert2(*e)
-    idx.delete2(1, 2)
+    _no_cover_walks(idx)
+    assert idx.delete2(1, 2) == DeleteKind.TREE_REPLACED
     assert not idx.two_edge_connected(0, 1)
     assert idx.two_edge_connected(0, 3)
     assert idx.two_edge_connected(0, 2)
@@ -166,6 +180,7 @@ def test_single_cover_tree_delete_reuses_the_cover():
     assert idx.stats()["classes"] == 1
     tree = [x for x in range(4) if idx.forest.parent[x] != -1]
     child = tree[0]
+    _no_cover_walks(idx)
     out = idx.delete2(child, idx.forest.parent[child])
     assert out == DeleteKind.TREE_REPLACED
     # the square minus one edge is a path: every remaining edge a bridge
@@ -234,6 +249,138 @@ def test_error_vocabulary():
         idx.delete2(10, 1)
     with pytest.raises(SelfLoop):
         idx.delete2(1, 1)
+
+
+# -- tree-edge swap -----------------------------------------------------------
+
+
+def _ancestors(parent, a):
+    out = [a]
+    while parent[a] != -1:
+        a = parent[a]
+        out.append(a)
+    return out
+
+
+def _built(n, edges):
+    idx = TwoEdgeIndex(n)
+    for e in edges:
+        idx.insert2(*e)
+    return idx
+
+
+def test_swap_moves_covers_on_both_branches_of_each_side():
+    # the replacement (7, 2) has its small end below the cut's child and
+    # its big end on another branch than the cut's parent, so the cycle
+    # path has edges on all three chains
+    idx = _built(8, ((0, 1), (0, 2), (1, 3), (3, 4), (4, 5), (0, 6), (4, 7),
+                     (2, 7), (3, 7)))
+    seen = {}
+    shift = idx._shift_covers
+
+    def spy(s, t, crossing, side, k):
+        parent = idx.forest.parent
+        if side == 0:
+            seen["small"] = s != t
+        else:
+            seen["big"] = (s not in _ancestors(parent, t)
+                           and t not in _ancestors(parent, s))
+        return shift(s, t, crossing, side, k)
+
+    idx._shift_covers = spy
+    _no_cover_walks(idx)
+    assert idx.delete2(3, 4) == DeleteKind.TREE_REPLACED
+    assert seen == {"small": True, "big": True}
+    check_index(idx)
+
+
+def test_tree_deletes_never_walk_covers():
+    idx = _built(6, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)))
+    _no_cover_walks(idx)
+    f = idx.forest
+    bridge = (2, 3)
+    assert f.parent[2] == 3 or f.parent[3] == 2
+    assert idx.delete2(*bridge) == DeleteKind.TREE_SPLIT
+    check_index(idx)
+    tree = [(x, f.parent[x]) for x in (0, 1, 2) if f.parent[x] != -1]
+    assert idx.delete2(*tree[0]) == DeleteKind.TREE_REPLACED
+    check_index(idx)
+    assert idx.counters()["tree_deletes"] == 2
+    assert idx.counters()["splits"] == 1
+
+
+def _withdraw_and_replace(idx, u, v):
+    """Reference tree-edge delete: withdraw every crossing edge's cover,
+    cut the bare bridge, then re-insert the crossing edges one by one."""
+    f = idx.forest
+    child, big_root = f.orient_cut(u, v)
+    p = f.parent[child]
+    # the split scans of the withdrawals walk through the cut edge, so
+    # it leaves the adjacency only with the cut
+    crossing = [(min(e), max(e)) for e in f.getrep(child, big_root)
+                if e != (child, p)]
+    for e in crossing:
+        idx._uncover(*e)
+    f.cut_bridge(child, p)
+    idx.graph.remove_edge(u, v)
+    for e in crossing:
+        idx._place(*e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(3, 14))
+def test_swap_matches_withdraw_and_replace(seed, n):
+    # same forest arrays, counters and classes as re-inserting every
+    # crossing edge after the cut
+    rng = random.Random(seed)
+    edges = _edges_for(n, seed, rng.randrange(n - 1, n * (n - 1) // 2 + 1))
+    idx = _built(n, edges)
+    ref = _built(n, edges)
+    rng.shuffle(edges)
+    for u, v in edges:
+        f = idx.forest
+        if f.parent[u] == v or f.parent[v] == u:
+            idx.delete2(u, v)
+            _withdraw_and_replace(ref, u, v)
+        else:
+            idx.delete2(u, v)
+            ref.delete2(u, v)
+        assert (f.parent, f.size, f.rep) == (ref.forest.parent, ref.forest.size,
+                                             ref.forest.rep)
+        assert class_partition(idx) == class_partition(ref)
+        check_index(idx)
+
+
+def test_invariant_checks_run_under_optimize():
+    # both checks must raise, not assert, so python -O keeps them
+    code = textwrap.dedent("""
+        from dynconn import ConnectivityIndex, InvariantError
+        from dynconn.graph import DynamicGraph
+        from dynconn.two_edge import TwoEdgeForest
+
+        g = DynamicGraph(2)
+        g.add_edge(0, 1)
+        f = TwoEdgeForest(g)
+        f.parent = [1, -1]  # 0 claims to root the big side yet hangs below 1
+        try:
+            f.getrep(1, 0)
+        except InvariantError:
+            print("getrep")
+
+        idx = ConnectivityIndex(2)
+        idx.insert(0, 1)
+        idx.dsets.reroot(1 - idx.forest.roots()[0])  # root loses its set
+        try:
+            idx._audit()
+        except InvariantError:
+            print("audit")
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["getrep", "audit"]
 
 
 # -- sized sets ---------------------------------------------------------------
