@@ -30,7 +30,6 @@ from .spanning_forest import DeleteKind, DeletionOutcome, InsertKind, SpanningFo
 from .two_edge import SizedDisjointSet, TwoEdgeForest, TwoEdgeIndex
 from .workload import (
     EdgeStream,
-    EventKind,
     FuzzOutcome,
     MetricsReport,
     WorkloadEvent,
@@ -38,10 +37,9 @@ from .workload import (
     load_edge_file,
     parse_edge_stream,
     random_edge_stream,
-    run_connectivity_fuzz,
+    run_fuzz,
     run_random_cycle,
     run_sliding_window,
-    run_two_ec_fuzz,
 )
 
 __version__ = "0.1.0"
@@ -58,7 +56,6 @@ __all__ = [
     "DeleteKind",
     "DeletionOutcome",
     "EdgeStream",
-    "EventKind",
     "WorkloadEvent",
     "MetricsReport",
     "FuzzOutcome",
@@ -68,8 +65,7 @@ __all__ = [
     "build_index",
     "run_random_cycle",
     "run_sliding_window",
-    "run_connectivity_fuzz",
-    "run_two_ec_fuzz",
+    "run_fuzz",
     "DynConnError",
     "OutOfRange",
     "SelfLoop",

@@ -4,8 +4,9 @@ Subcommands: build, bench, window, fuzz, stats.  All flags are
 long-form.  Reports are CSV (see workload module docstring for the
 column order), written to --output or stdout.
 
-Exit codes: 0 success, 1 I/O or data error, 2 usage error, 3 fuzz
-found at least one invariant violation or oracle disagreement.
+Exit codes: 0 success, 1 I/O or data error, 2 usage error (bad flag
+values included), 3 fuzz found at least one invariant violation or
+oracle disagreement.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from .errors import DynConnError, KTooLarge, MissingTimestamps, ParseError
 from .workload import (
     MetricsReport,
     build_index,
-    index_ops,
     load_edge_file,
-    run_connectivity_fuzz,
+    run_fuzz,
     run_random_cycle,
     run_sliding_window,
-    run_two_ec_fuzz,
+    time_queries,
 )
 
 
@@ -37,6 +37,21 @@ def _pcts(text):
     if not pcts or any(not 0 < x <= 100 for x in pcts):
         raise argparse.ArgumentTypeError("values must lie in (0, 100]")
     return pcts
+
+
+def _int_from(lo):
+    """Type for an integer flag whose values start at `lo`."""
+
+    def parse(text):
+        try:
+            x = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        if x < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {x}")
+        return x
+
+    return parse
 
 
 def _build_parser():
@@ -58,22 +73,22 @@ def _build_parser():
 
     bench = sub.add_parser("bench", help="random delete/re-insert cycle benchmark")
     common(bench)
-    bench.add_argument("--k", type=int, required=True, help="edges to cycle")
-    bench.add_argument("--queries", type=int, default=100_000,
+    bench.add_argument("--k", type=_int_from(0), required=True, help="edges to cycle")
+    bench.add_argument("--queries", type=_int_from(0), default=100_000,
                        help="query batch after the cycle (0 to skip)")
 
     w = sub.add_parser("window", help="temporal sliding-window replay")
     common(w)
     w.add_argument("--pct", type=_pcts, default="5,10,20,40,80",
                    help="comma-separated window sizes as %% of the time span")
-    w.add_argument("--queries", type=int, default=100_000,
+    w.add_argument("--queries", type=_int_from(0), default=100_000,
                    help="query batch on each final window (0 to skip)")
 
     f = sub.add_parser("fuzz", help="differential fuzz against BFS oracles")
     common(f, needs_input=False)
-    f.add_argument("--n", type=int, default=64)
-    f.add_argument("--ops", type=int, default=50_000)
-    f.add_argument("--check-every", type=int, default=100)
+    f.add_argument("--n", type=_int_from(2), default=64)
+    f.add_argument("--ops", type=_int_from(0), default=50_000)
+    f.add_argument("--check-every", type=_int_from(1), default=100)
 
     s = sub.add_parser("stats", help="stream statistics without building an index")
     s.add_argument("--input", required=True)
@@ -107,18 +122,7 @@ def _cmd_bench(ns):
     idx, _ = build_index(stream, ns.mode)
     rep = run_random_cycle(idx, ns.k, ns.seed)
     if ns.queries:
-        import random as _random
-
-        rng = _random.Random(ns.seed)
-        _, _, query = index_ops(idx)
-        n = stream.n
-        t0 = time.perf_counter_ns()
-        for _ in range(ns.queries):
-            query(rng.randrange(n), rng.randrange(n))
-        rep.timings_ns["query"] = (
-            (time.perf_counter_ns() - t0) / ns.queries,
-            ns.queries,
-        )
+        rep.timings_ns["query"] = (time_queries(idx, ns.queries, ns.seed), ns.queries)
         rep.counts["query"] = ns.queries
     return rep, 0
 
@@ -132,10 +136,7 @@ def _cmd_window(ns):
 
 
 def _cmd_fuzz(ns):
-    if ns.mode == "2ec":
-        out = run_two_ec_fuzz(ns.n, ns.ops, ns.seed, ns.check_every)
-    else:
-        out = run_connectivity_fuzz(ns.n, ns.ops, ns.seed, ns.check_every)
+    out = run_fuzz(ns.mode, ns.n, ns.ops, ns.seed, ns.check_every)
     rep = MetricsReport()
     rep.extras["fuzz_n"] = ns.n
     rep.extras["fuzz_ops"] = out.ops

@@ -86,9 +86,12 @@ class ConnectivityIndex:
 
     def connected(self, u: int, v: int) -> bool:
         n = self.graph.n
-        if not (0 <= u < n and 0 <= v < n):
-            raise OutOfRange(f"query ({u}, {v})")
-        return self.dsets.same_set(u, v)
+        try:
+            if 0 <= u < n and 0 <= v < n:
+                return self.dsets.same_set(u, v)
+        except TypeError:  # a non-int id fails before anything changes
+            pass
+        raise OutOfRange(f"query ({u}, {v})")
 
     def tree_connected(self, u: int, v: int) -> bool:
         """Same answer as connected(), from the forest's root walks."""

@@ -22,38 +22,43 @@ class DynamicGraph:
         self.m = 0
         self.adj: list[set[int]] = [set() for _ in range(n)]
 
-    def _check_pair(self, u: int, v: int) -> None:
+    def _pair(self, u: int, v: int):
+        """Adjacency sets of u and v.  Bad ids raise before anything
+        changes: OutOfRange unless both are ints in [0, n), SelfLoop if
+        they are equal."""
         n = self.n
-        if not (0 <= u < n and 0 <= v < n):
-            raise OutOfRange(f"edge ({u}, {v}) outside [0, {n})")
-        if u == v:
-            raise SelfLoop(f"self loop at {u}")
+        try:
+            if 0 <= u < n and 0 <= v < n:
+                pair = self.adj[u], self.adj[v]
+                if u != v:
+                    return pair
+                raise SelfLoop(f"self loop at {u}")
+        except TypeError:  # a non-int id fails its comparison or its lookup
+            pass
+        raise OutOfRange(f"edge ({u}, {v}) outside [0, {n})")
 
     def add_edge(self, u: int, v: int) -> bool:
         """Insert (u, v).  True if added, False if it was already present."""
-        self._check_pair(u, v)
-        a = self.adj[u]
+        a, b = self._pair(u, v)
         if v in a:
             return False
         a.add(v)
-        self.adj[v].add(u)
+        b.add(u)
         self.m += 1
         return True
 
     def remove_edge(self, u: int, v: int) -> bool:
         """Delete (u, v).  True if removed, False if it was absent."""
-        self._check_pair(u, v)
-        a = self.adj[u]
+        a, b = self._pair(u, v)
         if v not in a:
             return False
         a.discard(v)
-        self.adj[v].discard(u)
+        b.discard(u)
         self.m -= 1
         return True
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_pair(u, v)
-        return v in self.adj[u]
+        return v in self._pair(u, v)[0]
 
     def degree(self, u: int) -> int:
         if not 0 <= u < self.n:

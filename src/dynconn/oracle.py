@@ -21,14 +21,6 @@ class Partition:
     def __init__(self, labels):
         self.labels = list(labels)
 
-    @classmethod
-    def from_components(cls, components, n):
-        labels = [-1] * n
-        for comp in components:
-            for v in comp:
-                labels[v] = min(comp)
-        return cls(labels)
-
     def canonical(self):
         seen = {}
         out = []

@@ -93,17 +93,23 @@ class SpanningForest:
     def query(self, u, v):
         """Same tree?  Two root walks, no mutation."""
         n = len(self.parent)
-        if not (0 <= u < n and 0 <= v < n):
-            raise OutOfRange(f"query ({u}, {v})")
-        return self._root(u) == self._root(v)
+        try:
+            if 0 <= u < n and 0 <= v < n:
+                return self._root(u) == self._root(v)
+        except TypeError:  # a non-int id fails before anything changes
+            pass
+        raise OutOfRange(f"query ({u}, {v})")
 
     # -- primitive restructuring ---------------------------------------
 
     def reroot(self, u):
-        """Make u the root of its tree by reversing its root path."""
+        """Make u the root of its tree by reversing its root path.
+
+        Returns the reversed path: u first, the old root last ([u] when u
+        already was the root)."""
         parent = self.parent
         if parent[u] == -1:
-            return u
+            return [u]
         size = self.size
         path = [u]
         p = parent[u]
@@ -120,7 +126,7 @@ class SpanningForest:
             size[x] += sy
             parent[y] = x
         parent[u] = -1
-        return u
+        return path
 
     def unlink(self, u):
         """Detach u's subtree; returns the root it was detached from."""
@@ -255,9 +261,6 @@ class SpanningForest:
     def roots(self):
         parent = self.parent
         return [v for v in range(len(parent)) if parent[v] == -1]
-
-    def depth_of(self, u):
-        return self.find_root(u)[1]
 
     def average_depth(self):
         """Mean depth over every vertex (roots count as 0)."""

@@ -4,12 +4,14 @@ The spanning forest grows one counter per tree edge: how many non-tree
 edges route their tree path across it.  Stored at the child endpoint,
 the counter is zero exactly when the edge is a bridge, so two vertices
 are 2-edge connected iff walking up through positive counters lands
-them at the same vertex.
+them at the same vertex.  The forest's own link, unlink and reroot do
+the tree surgery; a reroot then moves each counter on the reversed path
+one step down, to its edge's new child end.
 
 Counter maintenance never touches depths: both endpoints of an edge
 walk toward their lowest common ancestor, always advancing whichever
-pointer owns the smaller subtree (sizes strictly grow upward, so the
-pointers cannot overshoot the meeting point).
+pointer owns the smaller subtree, the v end on a tie (sizes strictly
+grow upward, so the pointers cannot overshoot the meeting point).
 
 Deleting a covered tree edge f is one swap T' = T - f + e, e being the
 first crossing edge the small-side scan finds.  Only the counters on
@@ -52,28 +54,14 @@ class TwoEdgeForest(SpanningForest):
     # -- primitives, counter-aware ---------------------------------------
 
     def reroot(self, u):
-        """Reverse u's root path; each flipped edge keeps its counter by
-        swapping it between the old and new storing endpoints."""
-        parent = self.parent
-        if parent[u] == -1:
-            return u
-        size = self.size
+        """Reverse u's root path; each flipped edge keeps its counter, which
+        moves one step down the path to the edge's new child end."""
+        path = super().reroot(u)
         rep = self.rep
-        path = [u]
-        p = parent[u]
-        while p != -1:
-            path.append(p)
-            p = parent[p]
-        for i in range(len(path) - 2, -1, -1):
-            x = path[i]
-            y = path[i + 1]
-            sy = size[y] - size[x]
-            size[y] = sy
-            size[x] += sy
-            parent[y] = x
-            rep[x], rep[y] = rep[y], rep[x]
-        parent[u] = -1
-        return u
+        carry = rep[path[-1]]  # u takes the old root's value
+        for x in path:
+            rep[x], carry = carry, rep[x]
+        return path
 
     def link(self, u, v, root_v):
         self.rep[u] = 0  # a fresh tree edge is not covered by anything
@@ -83,18 +71,11 @@ class TwoEdgeForest(SpanningForest):
         """Remove tree edge (u, v), v being u's parent.  Only bridges
         (counter zero) may be cut; a covered edge is swapped out by the
         index for one of its crossing edges instead."""
-        parent = self.parent
-        if parent[u] != v:
+        if self.parent[u] != v:
             raise ValueError(f"({u}, {v}) is not a child-to-parent tree edge")
         if self.rep[u] != 0:
             raise HasReplacements(f"({u}, {v}) is still covered {self.rep[u]} times")
-        parent[u] = -1
-        su = self.size[u]
-        size = self.size
-        w = v
-        while w != -1:
-            size[w] -= su
-            w = parent[w]
+        self.unlink(u)
 
     # -- class queries -----------------------------------------------------
 
@@ -106,12 +87,6 @@ class TwoEdgeForest(SpanningForest):
         while rep[u] != 0:
             u = parent[u]
         return u
-
-    def query2(self, u, v):
-        n = len(self.parent)
-        if not (0 <= u < n and 0 <= v < n):
-            raise OutOfRange(f"query ({u}, {v})")
-        return self.ecc_root(u) == self.ecc_root(v)
 
     # -- tree-edge deletion support ------------------------------------------
 
@@ -236,9 +211,12 @@ class TwoEdgeIndex:
 
     def two_edge_connected(self, u: int, v: int) -> bool:
         n = self.graph.n
-        if not (0 <= u < n and 0 <= v < n):
-            raise OutOfRange(f"query ({u}, {v})")
-        return self.csets.same_set(u, v)
+        try:
+            if 0 <= u < n and 0 <= v < n:
+                return self.csets.same_set(u, v)
+        except TypeError:  # a non-int id fails before anything changes
+            pass
+        raise OutOfRange(f"query ({u}, {v})")
 
     def connected(self, u: int, v: int) -> bool:
         """Plain connectivity, by root walks (no set forest for this here)."""
@@ -292,20 +270,14 @@ class TwoEdgeIndex:
         size = f.size
         rep = f.rep
         sets = self.csets
-        fu, fv = u, v
-        while fu != fv:
-            if size[fu] < size[fv]:
-                r = rep[fu] + 1
-                rep[fu] = r
-                if r == 1:
-                    sets.union(fu, parent[fu])
-                fu = parent[fu]
-            else:
-                r = rep[fv] + 1
-                rep[fv] = r
-                if r == 1:
-                    sets.union(fv, parent[fv])
-                fv = parent[fv]
+        while u != v:
+            if size[u] >= size[v]:
+                u, v = v, u
+            r = rep[u] + 1
+            rep[u] = r
+            if r == 1:
+                sets.union(u, parent[u])
+            u = parent[u]
         return InsertKind.NONTREE_NOOP
 
     def _uncover(self, u, v):
@@ -314,24 +286,16 @@ class TwoEdgeIndex:
         parent = f.parent
         size = f.size
         rep = f.rep
-        fu, fv = u, v
-        while fu != fv:
-            if size[fu] < size[fv]:
-                r = rep[fu] - 1
-                if r < 0:
-                    raise RepUnderflow(f"cover count below zero above {fu}")
-                rep[fu] = r
-                if r == 0:
-                    self._split_class(fu)
-                fu = parent[fu]
-            else:
-                r = rep[fv] - 1
-                if r < 0:
-                    raise RepUnderflow(f"cover count below zero above {fv}")
-                rep[fv] = r
-                if r == 0:
-                    self._split_class(fv)
-                fv = parent[fv]
+        while u != v:
+            if size[u] >= size[v]:
+                u, v = v, u
+            r = rep[u] - 1
+            if r < 0:
+                raise RepUnderflow(f"cover count below zero above {u}")
+            rep[u] = r
+            if r == 0:
+                self._split_class(u)
+            u = parent[u]
 
     def _split_class(self, w):
         """The tree edge above w just became a bridge: w's side of it moves
@@ -399,12 +363,10 @@ class TwoEdgeIndex:
         parent = f.parent
         a, b = child, p
         while zeros and a != b:
-            if size[a] < size[b]:
-                w = a
-                a = parent[a]
-            else:
-                w = b
-                b = parent[b]
+            if size[a] >= size[b]:
+                a, b = b, a
+            w = a
+            a = parent[a]
             if rep[w] == 0:
                 self._split_class(w)
                 zeros -= 1

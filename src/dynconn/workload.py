@@ -1,5 +1,7 @@
 """Workload drivers: edge-list ingestion, benchmark protocols, fuzzing.
 
+Each driver serves both indexes: `new_index` builds one from a mode
+("conn" or "2ec") and `index_ops` binds its insert, delete and query.
 Everything here speaks plain-text edge lists ("u v" or "u v t" per
 line, '#' or '%' starting a comment line) and emits flat CSV so runs
 can be diffed or plotted without bespoke tooling.
@@ -21,27 +23,22 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .connectivity import ConnectivityIndex
-from .errors import KTooLarge, MissingTimestamps, ParseError
+from .errors import KTooLarge, MissingTimestamps, OutOfRange, ParseError
 from .oracle import (
     Partition,
     oracle_components,
-    oracle_connected,
     oracle_rep,
     oracle_two_edge_components,
 )
 from .two_edge import TwoEdgeIndex
 
 
-class EventKind(Enum):
-    INSERT = "insert"
-
-
 @dataclass
 class WorkloadEvent:
-    kind: EventKind
+    """One edge arrival, in dense vertex ids; `t` is its timestamp."""
+
     u: int
     v: int
     t: int | None = None
@@ -103,7 +100,7 @@ def parse_edge_stream(source):
         if du == dv:
             dropped += 1
             continue
-        events.append(WorkloadEvent(EventKind.INSERT, du, dv, t))
+        events.append(WorkloadEvent(du, dv, t))
     return EdgeStream(events, len(labels), labels, mapping, dropped)
 
 
@@ -136,7 +133,7 @@ def random_edge_stream(n, m, seed=0, timestamps=False):
         if timestamps:
             t += rng.randrange(1, 4)
             ts = t
-        events.append(WorkloadEvent(EventKind.INSERT, u, v, ts))
+        events.append(WorkloadEvent(u, v, ts))
     return EdgeStream(events, n, list(range(n)), {v: v for v in range(n)})
 
 
@@ -243,6 +240,19 @@ def _apply_structure_stats(report, idx, before):
         report.avg_finds_len = d["find_visits"] / d["find_calls"]
 
 
+def time_queries(idx, count, seed=0):
+    """Mean ns per query over `count` seeded uniform vertex pairs."""
+    n = idx.graph.n
+    if n == 0:
+        raise OutOfRange("no vertices to query")
+    query = index_ops(idx)[2]
+    rng = random.Random(seed)
+    t0 = time.perf_counter_ns()
+    for _ in range(count):
+        query(rng.randrange(n), rng.randrange(n))
+    return (time.perf_counter_ns() - t0) / count
+
+
 # -- benchmark protocols -------------------------------------------------------
 
 
@@ -309,7 +319,7 @@ def run_sliding_window(stream, pct, mode="conn", queries=0, seed=0):
     if any(e.t is None for e in events):
         raise MissingTimestamps("sliding windows need 'u v t' rows throughout")
     idx = new_index(stream.n, mode)
-    ins, delete, query = index_ops(idx)
+    ins, delete, _ = index_ops(idx)
     g = idx.graph
     span = max(e.t for e in events) - min(e.t for e in events) if events else 0
     snap = idx.counters()
@@ -333,15 +343,6 @@ def run_sliding_window(stream, pct, mode="conn", queries=0, seed=0):
             del_ns += time.perf_counter_ns() - t0
             del_n += 1
 
-    q_ns = 0
-    if queries:
-        rng = random.Random(seed)
-        n = stream.n
-        t0 = time.perf_counter_ns()
-        for _ in range(queries):
-            query(rng.randrange(n), rng.randrange(n))
-        q_ns = time.perf_counter_ns() - t0
-
     report = MetricsReport()
     report.extras["vertices"] = stream.n
     report.extras[f"final_edges_w{pct}"] = g.m
@@ -352,7 +353,7 @@ def run_sliding_window(stream, pct, mode="conn", queries=0, seed=0):
     ]
     if queries:
         report.counts["query"] = queries
-        rows.append((pct, "query", q_ns / queries, queries))
+        rows.append((pct, "query", time_queries(idx, queries, seed), queries))
     report.window_rows = rows
     _apply_structure_stats(report, idx, snap)
     return report
@@ -426,23 +427,26 @@ class _LiveEdges:
             delete(*e)
 
 
-def run_connectivity_fuzz(n=64, ops=50_000, seed=0, check_every=100,
-                          tail_queries=0):
-    """Random inserts/deletes/queries (40/40/20) with a BFS oracle watching.
+def run_fuzz(mode="conn", n=64, ops=50_000, seed=0, check_every=100,
+             tail_queries=0):
+    """Random inserts/deletes/queries (40/40/20) with an oracle watching.
 
-    Every query is answered three ways (set forest, tree walk, oracle)
-    and must agree.  After every op, each spanning tree root must be its
-    own set representative (audited without compression so the walk
-    stats stay honest).  Every `check_every`-th op, both full partitions
-    are compared against the oracle.  `tail_queries` extra queries run
-    afterwards to pile up find traffic for walk-length statistics; they
-    are oracle-checked every 100th.
+    `mode` picks the relation, as in `new_index`: "conn" (BFS oracle) or
+    "2ec" (bridge oracle).  Every query is answered three ways (set
+    forest, forest walk, oracle partition cached between mutations) and
+    must agree.  Every `check_every`-th op, both full partitions are
+    compared against the oracle.  One audit depends on the mode: in conn
+    mode every spanning tree root must be its own set representative after
+    every op; in 2ec mode every stored cover count is re-derived from
+    scratch at each check.  Sets are read without compression, so the walk
+    stats stay honest.  `tail_queries` extra queries run afterwards to
+    pile up find traffic for walk-length statistics.
     """
     rng = random.Random(seed)
-    idx = ConnectivityIndex(n)
+    idx = new_index(n, mode)
+    insert, delete, query = index_ops(idx)
     g = idx.graph
     forest = idx.forest
-    sets = idx.dsets
     live = _LiveEdges(n)
     violations = []
     vcount = root_vcount = 0
@@ -455,116 +459,67 @@ def run_connectivity_fuzz(n=64, ops=50_000, seed=0, check_every=100,
         if len(violations) < 20:
             violations.append(msg)
 
-    queries = checks = 0
-    t_start = time.perf_counter()
-    for step in range(ops):
-        r = rng.random()
-        if r < 0.8:
-            live.mutate(rng, r < 0.4, idx.insert, idx.delete)
-        else:
-            u = rng.randrange(n)
-            v = rng.randrange(n)
-            queries += 1
-            a = idx.connected(u, v)
-            b = idx.tree_connected(u, v)
-            c = oracle_connected(g, u, v)
-            if not (a == b == c):
-                note(f"op {step}: query({u},{v}) sets={a} tree={b} oracle={c}")
-        for rt in forest.roots():
-            if sets.peek_root(rt) != rt:
-                note(f"op {step}: tree root {rt} is not its set representative",
-                     root=True)
-                break
-        if (step + 1) % check_every == 0:
-            checks += 1
-            truth = oracle_components(g)
-            if Partition([sets.peek_root(v) for v in range(n)]) != truth:
-                note(f"op {step}: set partition diverged from oracle")
-            if Partition([forest._root(v) for v in range(n)]) != truth:
-                note(f"op {step}: forest partition diverged from oracle")
+    if mode == "conn":
+        walk, oracle = forest._root, oracle_components
 
-    for i in range(tail_queries):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        queries += 1
-        a = idx.connected(u, v)
-        if a != idx.tree_connected(u, v):
-            note(f"tail {i}: sets and tree walk disagree on ({u},{v})")
-        if i % 100 == 0 and a != oracle_connected(g, u, v):
-            note(f"tail {i}: oracle disagrees on ({u},{v})")
+        def audit(step, checking):
+            peek = idx.dsets.peek_root
+            for rt in forest.roots():
+                if peek(rt) != rt:
+                    note(f"op {step}: tree root {rt} is not its set representative",
+                         root=True)
+                    return
+    else:
+        walk, oracle = forest.ecc_root, oracle_two_edge_components
 
-    return FuzzOutcome(
-        ops=ops,
-        queries=queries,
-        checks=checks,
-        violations=violations,
-        violation_count=vcount,
-        elapsed_s=time.perf_counter() - t_start,
-        find_calls=sets.find_calls,
-        find_visits=sets.find_visits,
-        root_violations=root_vcount,
-    )
+        def audit(step, checking):
+            if not checking:
+                return
+            parent = forest.parent
+            stored = {(x, p) if x < p else (p, x): forest.rep[x]
+                      for x in range(n) if (p := parent[x]) != -1}
+            if stored != oracle_rep(g, parent):
+                note(f"op {step}: stored cover counts diverged from oracle")
 
-
-def run_two_ec_fuzz(n=48, ops=20_000, seed=0, check_every=50):
-    """Random 2-edge connectivity ops with bridge-oracle probes.
-
-    Every query is answered by the class sets and by a counter walk and
-    both compared against the oracle partition (cached between
-    mutations).  Every `check_every`-th op, every stored cover count is
-    re-derived from scratch and compared, along with both partitions.
-    """
-    rng = random.Random(seed)
-    idx = TwoEdgeIndex(n)
-    g = idx.graph
-    forest = idx.forest
-    live = _LiveEdges(n)
-    violations = []
-    vcount = 0
-
-    def note(msg):
-        nonlocal vcount
-        vcount += 1
-        if len(violations) < 20:
-            violations.append(msg)
-
-    def stored_rep_map():
-        parent = forest.parent
-        return {
-            (x, p) if x < p else (p, x): forest.rep[x]
-            for x in range(n)
-            if (p := parent[x]) != -1
-        }
-
-    queries = checks = 0
     cached = None
+    queries = checks = 0
+
+    def truth():
+        nonlocal cached
+        if cached is None:
+            cached = oracle(g)
+        return cached
+
+    def probe(where, i, u, v):
+        nonlocal queries
+        queries += 1
+        a = query(u, v)
+        b = walk(u) == walk(v)
+        c = truth().same_block(u, v)
+        if not (a == b == c):
+            note(f"{where} {i}: query({u},{v}) sets={a} walk={b} oracle={c}")
+
     t_start = time.perf_counter()
     for step in range(ops):
         r = rng.random()
         if r < 0.8:
-            live.mutate(rng, r < 0.4, idx.insert2, idx.delete2)
+            live.mutate(rng, r < 0.4, insert, delete)
             cached = None
         else:
-            u = rng.randrange(n)
-            v = rng.randrange(n)
-            queries += 1
-            if cached is None:
-                cached = oracle_two_edge_components(g)
-            a = idx.two_edge_connected(u, v)
-            b = forest.query2(u, v)
-            c = cached.same_block(u, v)
-            if not (a == b == c):
-                note(f"op {step}: query2({u},{v}) sets={a} walk={b} oracle={c}")
-        if (step + 1) % check_every == 0:
+            probe("op", step, rng.randrange(n), rng.randrange(n))
+        checking = (step + 1) % check_every == 0
+        audit(step, checking)
+        if checking:
             checks += 1
-            if stored_rep_map() != oracle_rep(g, forest.parent):
-                note(f"op {step}: stored cover counts diverged from oracle")
-            truth = oracle_two_edge_components(g)
-            if Partition([idx.csets.peek_root(v) for v in range(n)]) != truth:
-                note(f"op {step}: class partition diverged from oracle")
-            if Partition([forest.ecc_root(v) for v in range(n)]) != truth:
-                note(f"op {step}: counter-walk partition diverged from oracle")
+            if Partition(idx.partition()) != truth():
+                note(f"op {step}: set partition diverged from oracle")
+            if Partition([walk(v) for v in range(n)]) != truth():
+                note(f"op {step}: walk partition diverged from oracle")
 
+    for i in range(tail_queries):
+        probe("tail", i, rng.randrange(n), rng.randrange(n))
+
+    found = idx.counters()
     return FuzzOutcome(
         ops=ops,
         queries=queries,
@@ -572,6 +527,7 @@ def run_two_ec_fuzz(n=48, ops=20_000, seed=0, check_every=50):
         violations=violations,
         violation_count=vcount,
         elapsed_s=time.perf_counter() - t_start,
-        find_calls=idx.csets.find_calls,
-        find_visits=idx.csets.find_visits,
+        find_calls=found["find_calls"],
+        find_visits=found["find_visits"],
+        root_violations=root_vcount,
     )

@@ -18,9 +18,8 @@ from dynconn.oracle import Partition, oracle_components, oracle_two_edge_compone
 from dynconn.workload import (
     build_index,
     random_edge_stream,
-    run_connectivity_fuzz,
+    run_fuzz,
     run_random_cycle,
-    run_two_ec_fuzz,
 )
 
 # criterion 1/2/4 shared run
@@ -79,8 +78,8 @@ def _line(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def conn_fuzz():
-    return run_connectivity_fuzz(
-        n=C1_N, ops=C1_OPS, seed=C1_SEED, check_every=100,
+    return run_fuzz(
+        "conn", n=C1_N, ops=C1_OPS, seed=C1_SEED, check_every=100,
         tail_queries=C1_TAIL_QUERIES,
     )
 
@@ -115,7 +114,7 @@ def test_criterion_2_root_consistency(conn_fuzz):
 
 
 def test_criterion_3_two_ec_differential_fuzz():
-    out = run_two_ec_fuzz(n=C3_N, ops=C3_OPS, seed=C3_SEED, check_every=50)
+    out = run_fuzz("2ec", n=C3_N, ops=C3_OPS, seed=C3_SEED, check_every=50)
     ok = out.violation_count == 0 and out.elapsed_s < C3_MAX_SECONDS
     assert _line(
         3, ok,

@@ -130,11 +130,39 @@ def test_fuzz_violations_exit_3(capsys, monkeypatch):
     fake = FuzzOutcome(ops=5, queries=1, checks=1,
                        violations=["op 3: query(0,1) sets=True tree=False oracle=False"],
                        violation_count=1, elapsed_s=0.0)
-    monkeypatch.setattr(cli, "run_connectivity_fuzz", lambda *a, **k: fake)
+    monkeypatch.setattr(cli, "run_fuzz", lambda *a, **k: fake)
     rc, out, err = run(capsys, "fuzz", "--n", "4", "--ops", "5")
     assert rc == 3
     assert "fuzz_violations,1\n" in out
     assert "violation: op 3" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("fuzz", "--n", "1"),
+    ("fuzz", "--n", "0"),
+    ("fuzz", "--check-every", "0"),
+    ("fuzz", "--ops", "-1"),
+    ("bench", "--k", "-1"),
+    ("bench", "--k", "1", "--queries", "-3"),
+    ("window", "--queries", "-1"),
+])
+def test_bad_integer_flag_is_usage_error(capsys, graph_file, argv):
+    if argv[0] != "fuzz":
+        argv = (argv[0], "--input", graph_file) + argv[1:]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert f"argument {argv[-2]}: must be" in err
+
+
+@pytest.mark.parametrize("argv", [("bench", "--k", "0"), ("window",)])
+def test_query_batch_on_vertex_free_input_is_data_error(capsys, tmp_path, argv):
+    p = tmp_path / "empty.txt"
+    p.write_text("# nothing\n")
+    rc, out, err = run(capsys, argv[0], "--input", str(p), *argv[1:])
+    assert rc == 1
+    assert out == ""
+    assert err == "error: no vertices to query\n"
 
 
 def test_stats_reports_stream_shape(capsys, tmp_path):

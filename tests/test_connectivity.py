@@ -7,6 +7,7 @@ from dynconn.connectivity import ConnectivityIndex
 from dynconn.errors import DuplicateEdge, EdgeAbsent, OutOfRange
 from dynconn.oracle import Partition, oracle_components, oracle_connected
 from dynconn.spanning_forest import DeleteKind, InsertKind
+from dynconn.two_edge import TwoEdgeIndex
 
 
 def index_partition(idx):
@@ -64,6 +65,34 @@ def test_error_vocabulary():
         idx.delete(0, 2)
     with pytest.raises(OutOfRange):
         idx.connected(0, 3)
+
+
+def _arrays(idx):
+    """Copies of every array and counter the index and its parts hold."""
+    out = {"adj": [sorted(a) for a in idx.graph.adj], "m": idx.graph.m}
+    for part in (idx, idx.forest, getattr(idx, "dsets", None), getattr(idx, "csets", None)):
+        if part is not None:
+            for k, v in vars(part).items():
+                if isinstance(v, (list, int)):
+                    out[(type(part).__name__, k)] = list(v) if isinstance(v, list) else v
+    return out
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1", None])
+@pytest.mark.parametrize("make, ops", [
+    (ConnectivityIndex, ("insert", "delete", "connected", "tree_connected")),
+    (TwoEdgeIndex, ("insert2", "delete2", "two_edge_connected", "connected")),
+])
+def test_non_int_ids_raise_out_of_range_and_change_nothing(make, ops, bad):
+    idx = make(5)
+    for e in [(0, 1), (1, 2), (0, 2), (2, 3)]:
+        getattr(idx, ops[0])(*e)
+    before = _arrays(idx)
+    for op in ops:
+        for args in ((bad, 2), (2, bad), (bad, bad)):
+            with pytest.raises(OutOfRange):
+                getattr(idx, op)(*args)
+            assert _arrays(idx) == before, (op, args)
 
 
 def test_component_stats():

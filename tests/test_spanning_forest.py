@@ -43,12 +43,12 @@ def forest_partition(forest):
 def test_reroot_chain():
     g, f = make(3, [(0, 1), (1, 2)])
     shape(f, [-1, 0, 1], [3, 2, 1])
-    assert f.reroot(2) == 2
+    assert f.reroot(2) == [2, 1, 0]  # the reversed path, old root last
     assert f.parent == [1, 2, -1]
     assert f.size == [1, 2, 3]
     f.check_integrity()
     # idempotent on the root
-    f.reroot(2)
+    assert f.reroot(2) == [2]
     assert f.parent == [1, 2, -1]
 
 

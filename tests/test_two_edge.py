@@ -49,6 +49,7 @@ def check_index(idx):
     g = idx.graph
     assert Partition([idx.forest._root(v) for v in range(g.n)]) == oracle_components(g)
     assert forest_rep_map(idx.forest) == oracle_rep(g, idx.forest.parent)
+    assert all(idx.forest.rep[r] == 0 for r in idx.forest.roots())  # no edge above
     truth = oracle_two_edge_components(g)
     assert class_partition(idx) == truth
     assert Partition([idx.forest.ecc_root(v) for v in range(g.n)]) == truth
@@ -92,6 +93,12 @@ def test_reroot_keeps_counts_on_physical_edges():
     assert f.size == [1, 2, 3]
     assert f.rep == [2, 0, 0]  # (0,1) still counts 2, now stored at 0
     f.check_integrity()
+    # with both edges covered, each count moves one step down the
+    # reversed path and the new root takes the old root's zero
+    f.rep = [2, 1, 0]  # (0,1) counts 2 at 0, (1,2) counts 1 at 1
+    assert f.reroot(0) == [0, 1, 2]
+    assert f.parent == [-1, 0, 1]
+    assert f.rep == [0, 2, 1]
 
 
 def test_cut_bridge_refuses_covered_edges():

@@ -6,16 +6,14 @@ import pytest
 
 from dynconn.errors import KTooLarge, MissingTimestamps, ParseError
 from dynconn.workload import (
-    EventKind,
     MetricsReport,
     build_index,
     load_edge_file,
     parse_edge_stream,
     random_edge_stream,
-    run_connectivity_fuzz,
+    run_fuzz,
     run_random_cycle,
     run_sliding_window,
-    run_two_ec_fuzz,
 )
 
 
@@ -34,7 +32,7 @@ def test_parse_remaps_densely_and_keeps_timestamps():
     assert s.mapping == {5: 0, 9: 1}
     assert s.labels == [5, 9]
     e = s.events[0]
-    assert (e.kind, e.u, e.v, e.t) == (EventKind.INSERT, 0, 1, 100)
+    assert (e.u, e.v, e.t) == (0, 1, 100)
 
 
 def test_parse_empty_and_comments_and_bytes():
@@ -216,8 +214,8 @@ def test_report_merge_accumulates():
 
 
 def test_connectivity_fuzz_clean_and_deterministic():
-    a = run_connectivity_fuzz(n=12, ops=600, seed=7, check_every=50, tail_queries=200)
-    b = run_connectivity_fuzz(n=12, ops=600, seed=7, check_every=50, tail_queries=200)
+    a = run_fuzz("conn", n=12, ops=600, seed=7, check_every=50, tail_queries=200)
+    b = run_fuzz("conn", n=12, ops=600, seed=7, check_every=50, tail_queries=200)
     assert a.ok and b.ok
     assert a.violations == []
     assert (a.queries, a.checks, a.find_calls) == (b.queries, b.checks, b.find_calls)
@@ -225,8 +223,8 @@ def test_connectivity_fuzz_clean_and_deterministic():
 
 
 def test_two_ec_fuzz_clean_and_deterministic():
-    a = run_two_ec_fuzz(n=10, ops=400, seed=3, check_every=25)
-    b = run_two_ec_fuzz(n=10, ops=400, seed=3, check_every=25)
+    a = run_fuzz("2ec", n=10, ops=400, seed=3, check_every=25)
+    b = run_fuzz("2ec", n=10, ops=400, seed=3, check_every=25)
     assert a.ok
     assert a.checks == 16
     assert (a.queries, a.find_calls) == (b.queries, b.find_calls)
