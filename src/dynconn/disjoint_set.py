@@ -22,7 +22,7 @@ node already hanging directly under the root is left where it is.
 
 from __future__ import annotations
 
-from .errors import IsRoot, NotRoot
+from .errors import InvariantError, IsRoot, NotRoot
 
 
 class DisjointSetForest:
@@ -261,39 +261,48 @@ class DisjointSetForest:
         return out
 
     def check_integrity(self):
-        """Full structural audit; test use only."""
+        """Full structural audit (test use only); raises InvariantError, so
+        python -O keeps the checks."""
         n = self._n
         parent, pre, nxt = self._parent, self._pre, self._nxt
         slot, vid = self._slot, self._vid
-        assert sorted(slot) == list(range(n)) and sorted(vid) == list(range(n))
+        if sorted(slot) != list(range(n)) or sorted(vid) != list(range(n)):
+            raise InvariantError("slot and vid are not permutations")
         for u in range(n):
-            assert vid[slot[u]] == u
+            if vid[slot[u]] != u:
+                raise InvariantError(f"slot of vertex {u} does not map back")
         listed = set()
         for h in range(n):
-            if parent[h] == h:
-                assert pre[h] == -1 and nxt[h] == -1
+            if parent[h] == h and (pre[h] != -1 or nxt[h] != -1):
+                raise InvariantError(f"root record {h} sits in a children list")
             head, tail = n + h, 2 * n + h
             fwd = []
             c = nxt[head]
             while c != tail:
-                assert parent[c] == h and pre[nxt[c]] == c and nxt[pre[c]] == c
+                if not (parent[c] == h and pre[nxt[c]] == c and nxt[pre[c]] == c):
+                    raise InvariantError(f"children list of {h} is broken at {c}")
                 fwd.append(c)
-                assert len(fwd) <= n
+                if len(fwd) > n:
+                    raise InvariantError(f"children list of {h} loops")
                 c = nxt[c]
             bwd = []
             c = pre[tail]
             while c != head:
                 bwd.append(c)
-                assert len(bwd) <= n
+                if len(bwd) > n:
+                    raise InvariantError(f"children list of {h} loops backwards")
                 c = pre[c]
-            assert fwd == bwd[::-1]
+            if fwd != bwd[::-1]:
+                raise InvariantError(f"children list of {h} differs backwards")
             listed.update(fwd)
         nonroots = {h for h in range(n) if parent[h] != h}
-        assert listed == nonroots
+        if listed != nonroots:
+            raise InvariantError("children lists do not hold every non-root")
         for h in range(n):
             hops = 0
             x = h
             while parent[x] != x:
                 x = parent[x]
                 hops += 1
-                assert hops <= n, "parent cycle"
+                if hops > n:
+                    raise InvariantError("parent cycle")

@@ -23,7 +23,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import AlreadyRoot, OutOfRange
+from .errors import AlreadyRoot, InvariantError, OutOfRange
 
 
 class InsertKind(enum.Enum):
@@ -77,10 +77,8 @@ class SpanningForest:
             p = parent[u]
         return u
 
-    def find_root(self, u):
-        """Return (root, depth) of u.  Read-only walk."""
-        if not 0 <= u < len(self.parent):
-            raise OutOfRange(f"vertex {u}")
+    def _root_depth(self, u):
+        """(root, depth) of u, for callers that validated u."""
         parent = self.parent
         d = 0
         p = parent[u]
@@ -89,6 +87,15 @@ class SpanningForest:
             p = parent[u]
             d += 1
         return u, d
+
+    def find_root(self, u):
+        """Return (root, depth) of u.  Read-only walk."""
+        try:
+            if 0 <= u < len(self.parent):
+                return self._root_depth(u)
+        except TypeError:  # a non-int id fails before anything changes
+            pass
+        raise OutOfRange(f"vertex {u}")
 
     def query(self, u, v):
         """Same tree?  Two root walks, no mutation."""
@@ -189,13 +196,21 @@ class SpanningForest:
             return InsertKind.NONTREE_NOOP, root
         # move the deeper endpoint, keeping half the gap's worth of its
         # ancestors with it, and hang the piece under the shallow end
-        w = u
-        for _ in range((gap + 1) // 2 - 1):
-            w = self.parent[w]
+        w = self._rewire_cut(u, gap)
         self.unlink(w)
         self.reroot(u)
         final = self.link(u, v, root)
         return InsertKind.NONTREE_REWIRED, final
+
+    def _rewire_cut(self, u, gap):
+        """Lower end of the tree edge that a depth-halving rewire cuts: the
+        ancestor (gap + 1) // 2 - 1 steps above u, u being gap >= 2 levels
+        below the other end of the non-tree edge.  It lies strictly below
+        the edge's meeting point, so the cut edge is on the edge's cycle."""
+        parent = self.parent
+        for _ in range((gap + 1) // 2 - 1):
+            u = parent[u]
+        return u
 
     def delete_edge(self, u, v):
         """Remove edge (u, v)'s role in the forest.
@@ -286,7 +301,8 @@ class SpanningForest:
         return sum(depth) / n
 
     def check_integrity(self):
-        """Assert parent acyclicity and exact subtree sizes (tests only)."""
+        """Check parent acyclicity and exact subtree sizes (tests only);
+        raises InvariantError, so python -O keeps the checks."""
         parent = self.parent
         n = len(parent)
         for v in range(n):
@@ -295,10 +311,12 @@ class SpanningForest:
             while parent[x] != -1:
                 x = parent[x]
                 hops += 1
-                assert hops <= n, f"parent cycle through {v}"
+                if hops > n:
+                    raise InvariantError(f"parent cycle through {v}")
         true_size = [1] * n
-        order = sorted(range(n), key=lambda v: -self.find_root(v)[1])
+        order = sorted(range(n), key=lambda v: -self._root_depth(v)[1])
         for v in order:
             if parent[v] != -1:
                 true_size[parent[v]] += true_size[v]
-        assert true_size == self.size, "subtree sizes drifted"
+        if true_size != self.size:
+            raise InvariantError("subtree sizes drifted")

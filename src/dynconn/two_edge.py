@@ -8,8 +8,8 @@ them at the same vertex.  The forest's own link, unlink and reroot do
 the tree surgery; a reroot then moves each counter on the reversed path
 one step down, to its edge's new child end.
 
-Counter maintenance never touches depths: both endpoints of an edge
-walk toward their lowest common ancestor, always advancing whichever
+Cover walks never touch depths: both endpoints of an edge walk
+toward their lowest common ancestor, always advancing whichever
 pointer owns the smaller subtree, the v end on a tie (sizes strictly
 grow upward, so the pointers cannot overshoot the meeting point).
 
@@ -19,6 +19,15 @@ e's old tree path, which ran through f, change: an edge of that path
 below which c of the K crossing edges end gains K - 2c on e's branches
 and loses K - 2c on f's, and e itself starts at K - 1.  Each side's c
 values come from one pass of marked upward walks.
+
+Inserts keep the forest shallow with the same swap.  A non-tree edge e
+whose ends lie gap >= 2 levels apart replaces the tree edge f that the
+plain forest's depth-halving rewire would cut, about half the gap above
+the deeper end, provided f then has at most gap covers, e's included.
+f stays in the graph and counts as one more crossing edge, whose new
+path is e's old cycle minus f; as it covers that whole path, the swap
+changes no class.  The cap on covers bounds the upward walks a rewire
+pays for.
 
 On top of the forest sits a second disjoint-set forest, one set per
 2-edge class with member counts.  A counter rising off zero merges two
@@ -86,6 +95,8 @@ class TwoEdgeForest(SpanningForest):
         rep = self.rep
         while rep[u] != 0:
             u = parent[u]
+            if u == -1:
+                raise InvariantError("a tree root stores a nonzero cover count")
         return u
 
     # -- tree-edge deletion support ------------------------------------------
@@ -256,16 +267,38 @@ class TwoEdgeIndex:
     # -- internals ------------------------------------------------------------
 
     def _place(self, u, v):
-        """Forest placement plus class merges on every 0 -> 1 counter."""
+        """Forest placement plus class merges on every 0 -> 1 counter.  A
+        non-tree edge whose ends lie gap >= 2 levels apart then takes the
+        place of the tree edge f that SpanningForest's depth-halving rewire
+        would cut, when f has at most gap covers (see _rewire)."""
         f = self.forest
-        ru = f._root(u)
-        rv = f._root(v)
+        ru, du = f._root_depth(u)
+        rv, dv = f._root_depth(v)
         if ru != rv:
             if f.size[ru] > f.size[rv]:
                 u, v, ru, rv = v, u, rv, ru
             f.reroot(u)
             f.link(u, v, rv)
             return InsertKind.TREE_EDGE
+        self._cover(u, v)
+        if du < dv:
+            u, v, du, dv = v, u, dv, du
+        gap = du - dv
+        if gap < 2:
+            return InsertKind.NONTREE_NOOP
+        w = f._rewire_cut(u, gap)
+        # the swap walks up from every cover of f, e's included; taking it
+        # only while they number at most the gap keeps its cost in line
+        # with the depth it saves
+        if f.rep[w] > gap:
+            return InsertKind.NONTREE_NOOP
+        self._rewire(u, v, w)
+        return InsertKind.NONTREE_REWIRED
+
+    def _cover(self, u, v):
+        """Covering walk of a non-tree edge (u, v), merging classes at
+        every 0 -> 1."""
+        f = self.forest
         parent = f.parent
         size = f.size
         rep = f.rep
@@ -278,7 +311,26 @@ class TwoEdgeIndex:
             if r == 1:
                 sets.union(u, parent[u])
             u = parent[u]
-        return InsertKind.NONTREE_NOOP
+
+    def _rewire(self, u, v, w):
+        """Swap the covered non-tree edge e = (u, v) into the tree for the
+        tree edge f above w, an edge of e's cycle with u below it: the
+        tree-delete swap with e as the forced replacement and f still in
+        the graph.  f then crosses its own cut, so getrep returns it too,
+        and as a crossing pair whose old path is f alone it makes
+        _shift_covers exact.  Classes stay as they are: f covers every
+        edge of its new cycle, e's old cycle minus f."""
+        f = self.forest
+        child, big_root = f.orient_cut(w, f.parent[w])
+        crossing = f.getrep(child, big_root)
+        k = len(crossing)
+        if f.rep[child] != k - 1:
+            raise InvariantError(f"rewired edge above {child} counts "
+                                 f"{f.rep[child]} covers but {k - 1} edges "
+                                 f"cross it besides itself")
+        e = (u, v) if child == w else (v, u)  # small side's end first
+        if self._swap(child, big_root, e, crossing, k):
+            raise InvariantError("a rewire left an edge of its cycle uncovered")
 
     def _uncover(self, u, v):
         """Covering walk in reverse, splitting a class at every 1 -> 0."""
@@ -341,21 +393,7 @@ class TwoEdgeIndex:
         if rep[child] != k:
             raise InvariantError(f"cut edge above {child} counts {rep[child]} "
                                  f"covers but {k} edges cross it")
-        f.unlink(child)
-        rep[child] = 0
-        x, y = crossing[0]
-        zeros = (self._shift_covers(x, child, crossing, 0, k)
-                 + self._shift_covers(y, p, crossing, 1, k))
-        # hang the smaller side, the lower id's on a tie, as a fresh
-        # insert of e would
-        if f.size[child] == f.size[big_root] and y < x:
-            f.reroot(y)
-            f.link(y, x, child)
-            rep[y] = k - 1
-        else:
-            f.reroot(x)
-            f.link(x, y, big_root)
-            rep[x] = k - 1
+        zeros = self._swap(child, big_root, crossing[0], crossing, k)
         if k == 1:
             zeros += 1  # e is a bridge
         # split bottom-up along the cycle path, now the tree path child..p
@@ -371,6 +409,31 @@ class TwoEdgeIndex:
                 self._split_class(w)
                 zeros -= 1
         return DeleteKind.TREE_REPLACED
+
+    def _swap(self, child, big_root, e, crossing, k):
+        """T' = T - f + e for the tree edge f above child, whose small side
+        child roots, and e = (x, y) with x on that side.  `crossing` holds
+        the k edges across f as (small end, big end) pairs, e included.
+        Hangs the smaller side, the lower id's on a tie, as a fresh insert
+        of e would.  Returns how many counters on e's old cycle path
+        reached zero, e's own not counted."""
+        f = self.forest
+        rep = f.rep
+        p = f.parent[child]
+        f.unlink(child)
+        rep[child] = 0
+        x, y = e
+        zeros = (self._shift_covers(x, child, crossing, 0, k)
+                 + self._shift_covers(y, p, crossing, 1, k))
+        if f.size[child] == f.size[big_root] and y < x:
+            f.reroot(y)
+            f.link(y, x, child)
+            rep[y] = k - 1
+        else:
+            f.reroot(x)
+            f.link(x, y, big_root)
+            rep[x] = k - 1
+        return zeros
 
     def _shift_covers(self, s, t, crossing, side, k):
         """Counter updates of the swap on one side of the cut: s is the

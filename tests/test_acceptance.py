@@ -1,4 +1,4 @@
-"""Acceptance gate: ten contract criteria, one printed line each.
+"""Acceptance gate: eleven contract criteria, one printed line each.
 
 Run `pytest tests/test_acceptance.py -v -s` to see the lines.  Every
 tolerance is pinned here as a constant; seeds are fixed so reruns are
@@ -69,6 +69,9 @@ C10_M = 100_000
 C10_SEED = 88
 C10_K = 2_000
 C10_MAX_DELETE_US = 500.0
+# criterion 11 (same graph): 2ec forest depth against conn's.  The 2ec
+# forest read about 10x conn's before its inserts rewired, and 3.2x after
+C11_MAX_DEPTH_RATIO = 4.0
 
 
 def _line(num, ok, detail):
@@ -89,6 +92,14 @@ def fo_index():
     stream = random_edge_stream(FO_N, FO_M, seed=FO_SEED)
     idx, _ = build_index(stream, "conn")
     return idx, idx.forest.average_depth()
+
+
+@pytest.fixture(scope="module")
+def baseline_2ec():
+    """The ROADMAP baseline graph in 2ec mode, with its depth after build."""
+    stream = random_edge_stream(C10_N, C10_M, seed=C10_SEED)
+    idx, _ = build_index(stream, "2ec")
+    return stream, idx, idx.forest.average_depth()
 
 
 def test_criterion_1_connectivity_differential_fuzz(conn_fuzz):
@@ -226,9 +237,8 @@ def test_criterion_9_query_purity(fo_index):
     )
 
 
-def test_criterion_10_two_edge_delete_performance():
-    stream = random_edge_stream(C10_N, C10_M, seed=C10_SEED)
-    idx, _ = build_index(stream, "2ec")
+def test_criterion_10_two_edge_delete_performance(baseline_2ec):
+    _, idx, _ = baseline_2ec
     rep = run_random_cycle(idx, C10_K, seed=C10_SEED)
     d_mean, k = rep.timings_ns["delete"]
     i_mean, _ = rep.timings_ns["insert"]
@@ -239,4 +249,17 @@ def test_criterion_10_two_edge_delete_performance():
         f"{k} 2ec delete+insert cycles on {C10_N}v/{C10_M}e: mean delete "
         f"{delete_us:.1f}us (limit {C10_MAX_DELETE_US:.0f}us) over "
         f"{idx.tree_deletes} tree deletions, mean insert {i_mean / 1e3:.1f}us",
+    )
+
+
+def test_criterion_11_two_edge_depth_after_build(baseline_2ec):
+    stream, _, depth = baseline_2ec
+    conn, _ = build_index(stream, "conn")
+    conn_depth = conn.forest.average_depth()
+    ratio = depth / conn_depth
+    ok = ratio <= C11_MAX_DEPTH_RATIO
+    assert _line(
+        11, ok,
+        f"forest depth after the {C10_N}v/{C10_M}e build: 2ec {depth:.2f}, "
+        f"conn {conn_depth:.2f}, ratio {ratio:.2f} (limit {C11_MAX_DEPTH_RATIO})",
     )

@@ -47,6 +47,16 @@ def test_rejects_self_loop_and_range():
         g.degree(7)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1", None, -1, 3])
+def test_vertex_reads_reject_bad_ids(bad):
+    g = DynamicGraph(3)
+    g.add_edge(0, 1)
+    with pytest.raises(OutOfRange):
+        g.degree(bad)
+    with pytest.raises(OutOfRange):
+        g.neighbors(bad)
+
+
 @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=60))
 def test_symmetry_invariant(pairs):
     g = DynamicGraph(10)

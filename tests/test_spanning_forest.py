@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynconn.connectivity import ConnectivityIndex
-from dynconn.errors import AlreadyRoot
+from dynconn.errors import AlreadyRoot, OutOfRange
 from dynconn.graph import DynamicGraph
 from dynconn.oracle import Partition, oracle_components
 from dynconn.spanning_forest import DeleteKind, InsertKind, SpanningForest
@@ -204,6 +204,13 @@ def test_queries_do_not_mutate():
             f.query(u, v)
             f.find_root(u)
     assert (f.parent, f.size) == ([*snap[0]], [*snap[1]])
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1", None, -1, 3])
+def test_find_root_rejects_bad_ids(bad):
+    g, f = make(3, [(0, 1)])
+    with pytest.raises(OutOfRange):
+        f.find_root(bad)
 
 
 ops_strategy = st.lists(

@@ -7,7 +7,7 @@ import sys
 import textwrap
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dynconn.errors import (
     DuplicateEdge,
@@ -62,6 +62,7 @@ def _no_cover_walks(idx):
     def refuse(*_):
         raise AssertionError("tree delete ran a cover walk")
     idx._place = refuse
+    idx._cover = refuse
     idx._uncover = refuse
 
 
@@ -279,9 +280,15 @@ def _built(n, edges):
 def test_swap_moves_covers_on_both_branches_of_each_side():
     # the replacement (7, 2) has its small end below the cut's child and
     # its big end on another branch than the cut's parent, so the cycle
-    # path has edges on all three chains
-    idx = _built(8, ((0, 1), (0, 2), (1, 3), (3, 4), (4, 5), (0, 6), (4, 7),
-                     (2, 7), (3, 7)))
+    # path has edges on all three chains.  (3, 7) closes while 7 hangs
+    # one level below 3, so no insert rewires the tree.
+    idx = TwoEdgeIndex(8)
+    kinds = [idx.insert2(*e) for e in ((0, 1), (0, 2), (3, 4), (0, 6), (4, 7),
+                                       (3, 7), (1, 3), (4, 5), (2, 7))]
+    tree, noop = InsertKind.TREE_EDGE, InsertKind.NONTREE_NOOP
+    assert kinds == [tree] * 5 + [noop, tree, tree, noop]
+    assert idx.forest.parent == [1, -1, 0, 1, 3, 4, 0, 4]
+    assert idx.forest.rep == [1, 0, 1, 1, 2, 0, 0, 2]
     seen = {}
     shift = idx._shift_covers
 
@@ -316,6 +323,100 @@ def test_tree_deletes_never_walk_covers():
     assert idx.counters()["splits"] == 1
 
 
+# -- depth-halving rewire on insert -------------------------------------------
+
+
+_DEEP_7 = ((0, 1), (0, 2), (1, 3), (3, 4), (4, 5), (0, 6), (4, 7), (2, 7))
+
+
+def test_insert_rewires_when_the_cut_edge_has_few_covers():
+    # root 1; 7 hangs at depth 3 under 4, 3 sits at depth 1.  (3, 7) has
+    # gap 2, so the rewire cuts f = (7, 4), which (2, 7) and (3, 7) cover:
+    # 2 <= gap, and (3, 7) takes f's place in the tree
+    idx = _built(8, _DEEP_7)
+    assert idx.forest.parent == [1, -1, 0, 1, 3, 4, 0, 4]
+    classes = class_partition(idx)
+    assert idx.insert2(3, 7) == InsertKind.NONTREE_REWIRED
+    assert idx.forest.parent == [1, -1, 0, 1, 3, 4, 0, 3]
+    assert idx.forest.rep == [1, 0, 1, 1, 1, 0, 0, 2]
+    assert class_partition(idx) == classes  # (2, 7) had merged 3 and 7
+    check_index(idx)
+
+
+def test_insert_keeps_the_tree_when_the_cut_edge_has_more_covers_than_gap():
+    # (5, 7) adds a third cover to (7, 4): 3 > gap 2
+    idx = _built(8, _DEEP_7 + ((5, 7),))
+    parent = list(idx.forest.parent)
+    assert idx.insert2(3, 7) == InsertKind.NONTREE_NOOP
+    assert idx.forest.parent == parent
+    assert idx.forest.rep == [1, 0, 1, 1, 2, 1, 0, 3]
+    check_index(idx)
+
+
+def test_rewire_when_the_cut_edge_holds_the_bigger_side():
+    # the path 0-1-2 with 3 and 4 under 2, rooted at 0 as a split can
+    # leave it.  (0, 2) cuts f = (2, 1), below which 3 of the 5 vertices
+    # hang, so the cut is rerooted and (1, 0) is the scanned side
+    idx = TwoEdgeIndex(5)
+    for a, b in ((0, 1), (1, 2), (2, 3), (2, 4)):
+        idx.graph.add_edge(a, b)
+    f = idx.forest
+    f.parent = [-1, 0, 1, 2, 2]
+    f.size = [5, 4, 3, 1, 1]
+    check_index(idx)
+    assert idx.insert2(0, 2) == InsertKind.NONTREE_REWIRED
+    assert (f.parent, f.size, f.rep) == ([2, 0, -1, 2, 2], [2, 1, 5, 1, 1],
+                                         [1, 1, 0, 0, 0])
+    check_index(idx)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.integers(4, 14))
+def test_insert_kind_follows_the_gap_rule(seed, n):
+    # a non-tree insert rewires iff its ends lie gap >= 2 levels apart and
+    # the tree edge above the ancestor (gap + 1) // 2 - 1 steps over the
+    # deep end then has at most gap covers; the first insert, into a bare
+    # random tree, always does
+    rng = random.Random(seed)
+    idx = TwoEdgeIndex(n)
+    for v in range(1, n):
+        idx.insert2(rng.randrange(v), v)
+    f = idx.forest
+
+    def depth(x):
+        return len(_ancestors(f.parent, x)) - 1
+
+    deep = max(range(n), key=depth)
+    assume(depth(deep) >= 2)
+    root = f.roots()[0]
+    pairs = [(deep, root)] + _edges_for(n, seed, n * (n - 1) // 2)
+    kinds = []
+    for u, v in pairs:
+        if idx.graph.has_edge(u, v):
+            continue
+        du, dv = depth(u), depth(v)
+        if du < dv:
+            u, v, du, dv = v, u, dv, du
+        gap = du - dv
+        w = u
+        for _ in range((gap + 1) // 2 - 1):
+            w = f.parent[w]
+        rewire = gap >= 2 and f.rep[w] + 1 <= gap
+        pw = f.parent[w]
+        before = list(f.parent)
+        kinds.append(idx.insert2(u, v))
+        if rewire:
+            # e = (u, v) took the place of f = (w, pw)
+            assert kinds[-1] == InsertKind.NONTREE_REWIRED
+            assert f.parent[u] == v or f.parent[v] == u
+            assert f.parent[w] != pw and f.parent[pw] != w
+        else:
+            assert kinds[-1] == InsertKind.NONTREE_NOOP
+            assert f.parent == before
+        check_index(idx)
+    assert kinds[0] == InsertKind.NONTREE_REWIRED
+
+
 def _withdraw_and_replace(idx, u, v):
     """Reference tree-edge delete: withdraw every crossing edge's cover,
     cut the bare bridge, then re-insert the crossing edges one by one."""
@@ -330,8 +431,10 @@ def _withdraw_and_replace(idx, u, v):
         idx._uncover(*e)
     f.cut_bridge(child, p)
     idx.graph.remove_edge(u, v)
-    for e in crossing:
-        idx._place(*e)
+    if crossing:
+        assert idx._place(*crossing[0]) == InsertKind.TREE_EDGE
+    for e in crossing[1:]:
+        idx._cover(*e)
 
 
 @settings(max_examples=60, deadline=None)
@@ -358,10 +461,20 @@ def test_swap_matches_withdraw_and_replace(seed, n):
         check_index(idx)
 
 
+def _run_python(code, *flags):
+    """Run `code` in a fresh interpreter on this checkout's sources, with
+    a timeout, so a hang fails the test instead of stalling the suite."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run([sys.executable, *flags, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
 def test_invariant_checks_run_under_optimize():
-    # both checks must raise, not assert, so python -O keeps them
-    code = textwrap.dedent("""
+    # every check must raise, not assert, so python -O keeps them
+    out = _run_python("""
         from dynconn import ConnectivityIndex, InvariantError
+        from dynconn.disjoint_set import DisjointSetForest
         from dynconn.graph import DynamicGraph
         from dynconn.two_edge import TwoEdgeForest
 
@@ -373,6 +486,17 @@ def test_invariant_checks_run_under_optimize():
             f.getrep(1, 0)
         except InvariantError:
             print("getrep")
+        try:
+            f.check_integrity()  # and 1's size still counts only itself
+        except InvariantError:
+            print("forest")
+
+        sets = DisjointSetForest(2)
+        sets._vid.reverse()  # each slot now names the other vertex
+        try:
+            sets.check_integrity()
+        except InvariantError:
+            print("sets")
 
         idx = ConnectivityIndex(2)
         idx.insert(0, 1)
@@ -381,13 +505,28 @@ def test_invariant_checks_run_under_optimize():
             idx._audit()
         except InvariantError:
             print("audit")
-    """)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=60)
+    """, "-O")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["getrep", "audit"]
+    assert out.stdout.split() == ["getrep", "forest", "sets", "audit"]
+
+
+def test_ecc_root_raises_on_a_root_with_a_count():
+    # a root has no edge above it to count; walking on from it would read
+    # rep[-1], the last vertex's count
+    out = _run_python("""
+        from dynconn import InvariantError
+        from dynconn.graph import DynamicGraph
+        from dynconn.two_edge import TwoEdgeForest
+
+        f = TwoEdgeForest(DynamicGraph(2))
+        f.rep = [1, 1]
+        try:
+            f.ecc_root(0)
+        except InvariantError:
+            print("ecc_root")
+    """)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["ecc_root"]
 
 
 # -- sized sets ---------------------------------------------------------------
@@ -490,7 +629,7 @@ def test_cover_walk_meets_at_lowest_common_ancestor(seed, n):
             below.add(x)
             x = f.parent[x]
     before = list(f.rep)
-    idx._place(u, v)
+    idx._cover(u, v)
     assert [r - b for r, b in zip(f.rep, before)] == [int(x in below) for x in range(n)]
     idx._uncover(u, v)
     assert f.rep == before

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from dynconn.errors import KTooLarge, MissingTimestamps, ParseError
+from dynconn.two_edge import TwoEdgeIndex
 from dynconn.workload import (
     MetricsReport,
     build_index,
@@ -228,3 +229,19 @@ def test_two_ec_fuzz_clean_and_deterministic():
     assert a.ok
     assert a.checks == 16
     assert (a.queries, a.find_calls) == (b.queries, b.find_calls)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 30, 80])
+def test_two_ec_fuzz_takes_the_rewire_path(monkeypatch, n):
+    rewires = []
+    real = TwoEdgeIndex._rewire
+
+    def counted(self, *args):
+        rewires.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(TwoEdgeIndex, "_rewire", counted)
+    for seed in range(3):
+        out = run_fuzz("2ec", n=n, ops=3000, seed=seed, check_every=3)
+        assert out.ok, out.violations
+    assert rewires
