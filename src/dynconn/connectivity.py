@@ -11,8 +11,8 @@ of being rebuilt:
 * deletion that found a replacement: the component survives, only its
   root may have moved, so at most one reroot;
 * deletion that split: the search already named every vertex of the
-  smaller half, and each one is isolated and re-hung under the new
-  small root one by one.
+  smaller half, and rerooting the set at the big half's tree root names
+  the set root, so one split_off carves the small half out with no find.
 """
 
 from __future__ import annotations
@@ -74,12 +74,7 @@ class ConnectivityIndex:
         if not out.replaced:
             self.splits += 1
             self.split_visited_total += len(out.visited)
-            small = out.small_root
-            ds.isolate(small)
-            for w in out.visited:
-                if w != small:
-                    ds.isolate(w)
-                    ds.link(w, small)
+            ds.split_off(out.small_root, out.visited, out.big_root)
         if self._validate:
             self._audit()
         return out.kind
@@ -92,10 +87,6 @@ class ConnectivityIndex:
         except TypeError:  # a non-int id fails before anything changes
             pass
         raise OutOfRange(f"query ({u}, {v})")
-
-    def tree_connected(self, u: int, v: int) -> bool:
-        """Same answer as connected(), from the forest's root walks."""
-        return self.forest.query(u, v)
 
     def partition(self) -> list:
         """Set representative of every vertex, read without compressing

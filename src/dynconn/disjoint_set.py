@@ -2,12 +2,15 @@
 
 A classic union-find tree cannot remove a vertex from the middle of a
 tree, so every node here also keeps its children in an intrusive
-doubly-linked list.  That makes three extra moves possible, each O(1)
+doubly-linked list.  That makes four extra moves possible, each O(1)
 amortized or better:
 
 * unlink: splice a node out of its parent's child list;
 * isolate: pull a non-root node out entirely, re-hanging its children
   directly under the tree root;
+* split_off: carve a whole list of members out into a set of their own
+  under a root the caller already knows, with no find: each member is
+  isolated as above and all but the first hang under the first;
 * reroot: swap which vertex owns the root record, so the set keeps its
   shape but answers a different representative.
 
@@ -191,27 +194,56 @@ class DisjointSetForest:
         ru = self.find(u)
         if ru == u:
             raise IsRoot(f"cannot isolate representative {u}")
+        self.split_off(u, (u,), ru)
+        return ru
+
+    def split_off(self, small, members, root):
+        """Carve `members` out of root's set into a set represented by
+        `small`, which comes first in `members`.
+
+        `root` must be the representative of the set every member is in,
+        and not a member itself.  Each member's record is spliced out and
+        its children move under root's record; then small becomes a root
+        and every other member hangs directly under it.  No find runs, so
+        the cost is one step per member and per moved child.  The shape
+        and the counters are those of isolating the members in turn, each
+        child going to root, and then linking each under small:
+        len(members) isolates and len(members) - 1 links.
+        """
         n = self._n
         parent = self._parent
         nxt = self._nxt
-        h = self._slot[u]
-        hr = self._slot[ru]
-        self._splice(h)
-        parent[h] = h
-        head = n + h
-        tail = 2 * n + h
-        c = nxt[head]
+        slot = self._slot
+        hr = slot[root]
+        if parent[hr] != hr:
+            raise NotRoot(f"{root} is not a representative")
+        hs = slot[small]
         moves = 0
-        while c != tail:
-            cn = nxt[c]
-            self._splice(c)
-            self._push_child(c, hr)
-            parent[c] = hr
-            moves += 1
-            c = cn
-        self.isolate_calls += 1
+        for u in members:
+            h = slot[u]
+            if parent[h] == h:
+                raise IsRoot(f"cannot split off representative {u}")
+            self._splice(h)
+            tail = 2 * n + h
+            c = nxt[n + h]
+            while c != tail:
+                cn = nxt[c]
+                self._splice(c)
+                self._push_child(c, hr)
+                parent[c] = hr
+                moves += 1
+                c = cn
+            # small's own children have gone to root before any member
+            # joins its list, so that list ends up holding the members only
+            if h == hs:
+                parent[h] = h
+            else:
+                parent[h] = hs
+                self._push_child(h, hs)
+        k = len(members)
+        self.isolate_calls += k
         self.isolate_child_moves += moves
-        return ru
+        self.link_calls += k - 1
 
     def reroot(self, u):
         """Make u the representative of its set by swapping record owners."""

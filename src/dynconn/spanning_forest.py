@@ -42,9 +42,10 @@ class DeleteKind(enum.Enum):
 class DeletionOutcome:
     """What a tree-level delete did and what it touched.
 
-    `visited` is the marked set built during the replacement search:
-    on a split it is exactly the vertex set of the smaller half, on a
-    successful replacement it also holds the upward walk that escaped.
+    `visited` is the marked set built during the replacement search,
+    `small_root` first: on a split it is exactly the vertex set of the
+    smaller half, on a successful replacement it also holds the upward
+    walk that escaped.
     `probes` counts neighbor iterations of the search loop.
     """
 

@@ -37,8 +37,6 @@ class of its own.  A deletion only lowers counters, so it only splits.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .disjoint_set import DisjointSetForest
 from .errors import (
     DuplicateEdge,
@@ -147,7 +145,8 @@ class TwoEdgeForest(SpanningForest):
 
 
 class SizedDisjointSet(DisjointSetForest):
-    """Disjoint sets carrying member counts through union/isolate/reroot."""
+    """Disjoint sets carrying member counts through union, split_off,
+    isolate and reroot."""
 
     def __init__(self, n):
         super().__init__(n)
@@ -167,11 +166,16 @@ class SizedDisjointSet(DisjointSetForest):
         dsize[rv] += dsize[ru]
         return rv
 
-    def isolate(self, u):
-        r = super().isolate(u)
-        self.dsize[r] -= 1
-        self.dsize[u] = 1
-        return r
+    def split_off(self, small, members, root):
+        super().split_off(small, members, root)
+        k = len(members)
+        self.dsize[root] -= k
+        self.dsize[small] = k
+
+    # split_off moves the counts, so the base isolate is exact here too.
+    # Bound again on this class so a profiler that wraps methods per class
+    # tells class isolates apart from the connectivity sets' ones.
+    isolate = DisjointSetForest.isolate
 
     def reroot(self, u):
         r = self.find(u)
@@ -180,6 +184,20 @@ class SizedDisjointSet(DisjointSetForest):
         self._swap_owner(u, r)
         self.dsize[u] = self.dsize[r]
         return u
+
+    def check_integrity(self):
+        """The base audit, plus every representative's count against its
+        members; raises InvariantError."""
+        super().check_integrity()
+        members = [0] * self._n
+        peek = self.peek_root
+        for v in range(self._n):
+            members[peek(v)] += 1
+        dsize = self.dsize
+        for r in self.root_vertices():
+            if dsize[r] != members[r]:
+                raise InvariantError(f"class of {r} counts {dsize[r]} members "
+                                     f"but holds {members[r]}")
 
 
 class TwoEdgeIndex:
@@ -357,18 +375,14 @@ class TwoEdgeIndex:
         f = self.forest
         parent = f.parent
         rep = f.rep
-        sets = self.csets
-        sets.reroot(parent[w])
-        sets.isolate(w)
         adj = self.graph.adj
-        queue = deque((w,))
-        while queue:
-            x = queue.popleft()
+        members = [w]
+        for x in members:  # grows while it is read: breadth-first order
             for y in adj[x]:
                 if parent[y] == x and rep[y] > 0:
-                    queue.append(y)
-                    sets.isolate(y)
-                    sets.union(y, w)
+                    members.append(y)
+        sets = self.csets
+        sets.split_off(w, members, sets.reroot(parent[w]))
 
     def _cut_tree_edge(self, u, v):
         # The swap T' = T - f + e moves the covers along e's old cycle

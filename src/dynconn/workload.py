@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .connectivity import ConnectivityIndex
-from .errors import KTooLarge, MissingTimestamps, OutOfRange, ParseError
+from .errors import DynConnError, KTooLarge, MissingTimestamps, OutOfRange, ParseError
 from .oracle import (
     Partition,
     oracle_components,
@@ -440,7 +440,9 @@ def run_fuzz(mode="conn", n=64, ops=50_000, seed=0, check_every=100,
     every op; in 2ec mode every stored cover count is re-derived from
     scratch at each check.  Sets are read without compression, so the walk
     stats stay honest.  `tail_queries` extra queries run afterwards to
-    pile up find traffic for walk-length statistics.
+    pile up find traffic for walk-length statistics.  A DynConnError
+    raised inside an op or a check counts as one violation at that op
+    and ends the run there.
     """
     rng = random.Random(seed)
     idx = new_index(n, mode)
@@ -500,24 +502,31 @@ def run_fuzz(mode="conn", n=64, ops=50_000, seed=0, check_every=100,
             note(f"{where} {i}: query({u},{v}) sets={a} walk={b} oracle={c}")
 
     t_start = time.perf_counter()
-    for step in range(ops):
-        r = rng.random()
-        if r < 0.8:
-            live.mutate(rng, r < 0.4, insert, delete)
-            cached = None
-        else:
-            probe("op", step, rng.randrange(n), rng.randrange(n))
-        checking = (step + 1) % check_every == 0
-        audit(step, checking)
-        if checking:
-            checks += 1
-            if Partition(idx.partition()) != truth():
-                note(f"op {step}: set partition diverged from oracle")
-            if Partition([walk(v) for v in range(n)]) != truth():
-                note(f"op {step}: walk partition diverged from oracle")
+    where, step = "op", 0
+    try:
+        for step in range(ops):
+            r = rng.random()
+            if r < 0.8:
+                live.mutate(rng, r < 0.4, insert, delete)
+                cached = None
+            else:
+                probe("op", step, rng.randrange(n), rng.randrange(n))
+            checking = (step + 1) % check_every == 0
+            audit(step, checking)
+            if checking:
+                checks += 1
+                if Partition(idx.partition()) != truth():
+                    note(f"op {step}: set partition diverged from oracle")
+                if Partition([walk(v) for v in range(n)]) != truth():
+                    note(f"op {step}: walk partition diverged from oracle")
 
-    for i in range(tail_queries):
-        probe("tail", i, rng.randrange(n), rng.randrange(n))
+        where = "tail"
+        for step in range(tail_queries):
+            probe("tail", step, rng.randrange(n), rng.randrange(n))
+    except DynConnError as exc:
+        # every generated op is valid, so an error is an internal check
+        # firing on a corrupt index: count it at its op and stop the run
+        note(f"{where} {step}: {type(exc).__name__}: {exc}")
 
     found = idx.counters()
     return FuzzOutcome(

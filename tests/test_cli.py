@@ -3,6 +3,8 @@
 import pytest
 
 from dynconn import cli
+from dynconn.spanning_forest import SpanningForest
+from dynconn.two_edge import TwoEdgeForest
 from dynconn.workload import FuzzOutcome, random_edge_stream
 
 
@@ -135,6 +137,15 @@ def test_fuzz_violations_exit_3(capsys, monkeypatch):
     assert rc == 3
     assert "fuzz_violations,1\n" in out
     assert "violation: op 3" in err
+
+
+def test_fuzz_op_that_raises_exits_3_with_its_op(capsys, monkeypatch):
+    monkeypatch.setattr(TwoEdgeForest, "reroot", SpanningForest.reroot)
+    rc, out, err = run(capsys, "fuzz", "--mode", "2ec", "--n", "10", "--ops", "400",
+                       "--seed", "3")
+    assert rc == 3
+    assert "fuzz_violations,1\n" in out
+    assert err == "violation: op 50: RepUnderflow: cover count below zero above 6\n"
 
 
 @pytest.mark.parametrize("argv", [

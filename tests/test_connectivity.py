@@ -1,10 +1,11 @@
 import random
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynconn.connectivity import ConnectivityIndex
-from dynconn.errors import DuplicateEdge, EdgeAbsent, OutOfRange
+from dynconn.errors import DuplicateEdge, EdgeAbsent, OutOfRange, SelfLoop
 from dynconn.oracle import Partition, oracle_components, oracle_connected
 from dynconn.spanning_forest import DeleteKind, InsertKind
 from dynconn.two_edge import TwoEdgeIndex
@@ -69,7 +70,8 @@ def test_error_vocabulary():
 
 def _arrays(idx):
     """Copies of every array and counter the index and its parts hold."""
-    out = {"adj": [sorted(a) for a in idx.graph.adj], "m": idx.graph.m}
+    out = {"adj": [sorted(a) for a in idx.graph.adj], "m": idx.graph.m,
+           "counters": idx.counters()}
     for part in (idx, idx.forest, getattr(idx, "dsets", None), getattr(idx, "csets", None)):
         if part is not None:
             for k, v in vars(part).items():
@@ -80,7 +82,7 @@ def _arrays(idx):
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, "1", None])
 @pytest.mark.parametrize("make, ops", [
-    (ConnectivityIndex, ("insert", "delete", "connected", "tree_connected")),
+    (ConnectivityIndex, ("insert", "delete", "connected", "forest.query")),
     (TwoEdgeIndex, ("insert2", "delete2", "two_edge_connected", "connected")),
 ])
 def test_non_int_ids_raise_out_of_range_and_change_nothing(make, ops, bad):
@@ -91,8 +93,31 @@ def test_non_int_ids_raise_out_of_range_and_change_nothing(make, ops, bad):
     for op in ops:
         for args in ((bad, 2), (2, bad), (bad, bad)):
             with pytest.raises(OutOfRange):
-                getattr(idx, op)(*args)
+                attrgetter(op)(idx)(*args)
             assert _arrays(idx) == before, (op, args)
+
+
+@pytest.mark.parametrize("make, ops", [
+    (ConnectivityIndex, ("insert", "delete", "connected", "forest.query")),
+    (TwoEdgeIndex, ("insert2", "delete2", "two_edge_connected", "connected")),
+])
+def test_rejected_ops_raise_their_error_and_change_nothing(make, ops):
+    idx = make(6)
+    # a cycle, a pendant tree edge and a lone vertex: both edge kinds live
+    for e in [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)]:
+        getattr(idx, ops[0])(*e)
+    insert, delete, *queries = (attrgetter(op)(idx) for op in ops)
+    before = _arrays(idx)
+    cases = [(insert, (1, 0), DuplicateEdge), (insert, (3, 4), DuplicateEdge),
+             (delete, (0, 2), EdgeAbsent), (delete, (4, 5), EdgeAbsent)]
+    for op in (insert, delete):
+        cases += [(op, (2, 2), SelfLoop), (op, (5, 5), SelfLoop)]
+    for op in (insert, delete, *queries):
+        cases += [(op, args, OutOfRange) for args in ((0, 6), (6, 0), (-1, 2), (2, -7))]
+    for op, args, err in cases:
+        with pytest.raises(err):
+            op(*args)
+        assert _arrays(idx) == before, (op.__name__, args)
 
 
 def test_component_stats():
@@ -127,7 +152,7 @@ def test_queries_agree_three_ways_small_fuzz():
             u, v = rng.randrange(n), rng.randrange(n)
             want = oracle_connected(idx.graph, u, v)
             assert idx.connected(u, v) == want
-            assert idx.tree_connected(u, v) == want
+            assert idx.forest.query(u, v) == want
         if step % 50 == 0:
             assert index_partition(idx) == oracle_components(idx.graph)
             assert roots_consistent(idx)
@@ -156,8 +181,37 @@ def test_split_isolates_count_matches_small_side():
     for e in [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)]:
         idx.insert(*e)
     idx.insert(3, 4)
-    base = idx.dsets.isolate_calls
+    ds = idx.dsets
+    base = ds.counters()
     assert idx.delete(3, 4) is DeleteKind.TREE_SPLIT
-    # one isolate per vertex of the smaller half
-    assert idx.dsets.isolate_calls - base == 3
+    delta = {k: v - base[k] for k, v in ds.counters().items()}
+    # one isolate per vertex of the smaller half, each but its root then
+    # linked under that root, and the reroot's find the only one
+    assert delta["isolate_calls"] == 3 and delta["link_calls"] == 2
+    assert delta["find_calls"] == 1
     assert index_partition(idx) == oracle_components(idx.graph)
+    ds.check_integrity()
+
+
+@pytest.mark.parametrize("small", [4, 6])
+def test_split_makes_one_set_find(small):
+    # a path of 14 cut after its first `small` vertices; the branches
+    # give the set forest children to move
+    n = 14
+    idx = ConnectivityIndex(n)
+    for v in range(1, n):
+        idx.insert(v - 1, v)
+    for e in [(0, 2), (7, 9), (10, 12)]:
+        idx.insert(*e)
+    ds = idx.dsets
+    calls, links, finds = ds.isolate_calls, ds.link_calls, ds.find_calls
+    u, v = small - 1, small
+    assert idx.forest.parent[u] == v or idx.forest.parent[v] == u
+    assert idx.delete(u, v) is DeleteKind.TREE_SPLIT
+    side = min(idx.forest.size[idx.forest._root(x)] for x in (u, v))
+    assert side >= 4
+    assert ds.find_calls - finds == 1
+    assert ds.isolate_calls - calls == side and ds.link_calls - links == side - 1
+    assert roots_consistent(idx)
+    assert index_partition(idx) == oracle_components(idx.graph)
+    ds.check_integrity()

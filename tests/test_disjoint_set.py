@@ -1,7 +1,8 @@
+import copy
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dynconn.disjoint_set import DisjointSetForest
 from dynconn.errors import IsRoot, NotRoot
@@ -140,4 +141,77 @@ def test_matches_reference_partition(script):
             assert ds.same_set(a, b) == (ref_of(a) == ref_of(b))
         for v in range(n):
             assert ds.find(v) == ref_of(v)
+    ds.check_integrity()
+
+
+def _owner_of_parent(ds, n):
+    """Vertex owning each vertex's parent record: the forest's shape."""
+    parent, slot, vid = ds._parent, ds._slot, ds._vid
+    return [vid[parent[slot[v]]] for v in range(n)]
+
+
+@given(st.integers(2, 12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_split_off_matches_isolate_then_link(n, data):
+    rng = random.Random(data.draw(st.integers(0, 10_000)))
+    ds = DisjointSetForest(n)
+    for _ in range(data.draw(st.integers(1, 3 * n))):
+        a, b = rng.randrange(n), rng.randrange(n)
+        op = rng.randrange(4)
+        if op < 2:  # link two roots directly, so chains grow deep
+            ra, rb = ds.peek_root(a), ds.peek_root(b)
+            if ra != rb:
+                ds.link(ra, rb)
+        elif op == 2:
+            ds.find(a)
+        else:
+            ds.reroot(a)
+    root = ds.peek_root(rng.randrange(n))
+    rest = [v for v in range(n) if v != root and ds.peek_root(v) == root]
+    assume(rest)
+    members = rng.sample(rest, data.draw(st.integers(1, len(rest))))
+    small = members[0]
+
+    # find-free reference: isolate each member by hand, children to root
+    ref = copy.deepcopy(ds)
+    moves = 0
+    for m in members:
+        kids = ref.children_of(m)
+        ref.unlink(m)
+        for c in kids:
+            ref.unlink(c)
+            ref.link(c, root)
+        moves += len(kids)
+    for m in members[1:]:
+        ref.link(m, small)
+
+    # the index's old path: isolate (with its find) then link
+    old = copy.deepcopy(ds)
+    for m in members:
+        old.isolate(m)
+    for m in members[1:]:
+        old.link(m, small)
+
+    base = ds.counters()
+    ds.split_off(small, members, root)
+    delta = {k: v - base[k] for k, v in ds.counters().items()}
+    assert delta == {"find_calls": 0, "find_visits": 0, "link_calls": len(members) - 1,
+                     "isolate_calls": len(members), "isolate_child_moves": moves}
+    assert _owner_of_parent(ds, n) == _owner_of_parent(ref, n)
+    for name in ("isolate_calls", "link_calls"):
+        assert getattr(old, name) - base[name] == delta[name]
+    assert partition_of(ds, n) == partition_of(old, n)
+    assert ds.peek_root(small) == small and ds.find(root) == root
+    ds.check_integrity()
+
+
+def test_split_off_refuses_a_root_member_or_a_non_root():
+    ds = DisjointSetForest(4)
+    for c in (1, 2, 3):
+        ds.link(c, 0)
+    with pytest.raises(NotRoot):
+        ds.split_off(1, [1, 2], 3)
+    with pytest.raises(IsRoot):
+        ds.split_off(0, [0, 1], 0)
+    assert ds.counters()["isolate_calls"] == 0
     ds.check_integrity()

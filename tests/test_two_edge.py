@@ -198,6 +198,33 @@ def test_single_cover_tree_delete_reuses_the_cover():
     check_index(idx)
 
 
+def test_tree_delete_splits_a_class_of_three_in_one_carve():
+    # triangles 0-1-2 and 3-4-5 joined by (0,5) and (2,3): losing the
+    # tree edge (0,5) leaves (2,3) a bridge between two classes of three
+    idx = TwoEdgeIndex(6)
+    for e in ((0, 5), (0, 1), (1, 2), (2, 0), (5, 4), (4, 3), (3, 5), (2, 3)):
+        idx.insert2(*e)
+    assert idx.forest.parent[0] == 5 or idx.forest.parent[5] == 0
+    assert idx.stats()["classes"] == 1
+    carved = []
+    split_off = idx.csets.split_off
+
+    def record(small, members, root):
+        carved.append(sorted(members))
+        return split_off(small, members, root)
+    idx.csets.split_off = record
+    base = idx.csets.counters()
+    _no_cover_walks(idx)
+    assert idx.delete2(0, 5) == DeleteKind.TREE_REPLACED
+    assert carved in ([[0, 1, 2]], [[3, 4, 5]])
+    after = idx.csets.counters()
+    assert after["isolate_calls"] - base["isolate_calls"] == 3
+    assert after["link_calls"] - base["link_calls"] == 2
+    assert sorted(idx.csets.dsize[r] for r in idx.csets.root_vertices()) == [3, 3]
+    assert not idx.two_edge_connected(2, 3) and idx.connected(2, 3)
+    check_index(idx)
+
+
 def test_uncovered_tree_delete_splits():
     idx = TwoEdgeIndex(4)
     idx.insert2(0, 1)
@@ -508,6 +535,26 @@ def test_invariant_checks_run_under_optimize():
     """, "-O")
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["getrep", "forest", "sets", "audit"]
+
+
+def test_class_count_audit_runs_under_optimize():
+    # a representative whose member count drifted fails the audit
+    out = _run_python("""
+        from dynconn import InvariantError
+        from dynconn.two_edge import SizedDisjointSet
+
+        s = SizedDisjointSet(4)
+        s.union(0, 1)
+        s.union(1, 2)
+        s.check_integrity()
+        s.dsize[s.find(0)] = 2
+        try:
+            s.check_integrity()
+        except InvariantError as exc:
+            print("dsize", exc)
+    """, "-O")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split()[:1] == ["dsize"] and "counts 2 members but holds 3" in out.stdout
 
 
 def test_ecc_root_raises_on_a_root_with_a_count():

@@ -5,7 +5,8 @@ import io
 import pytest
 
 from dynconn.errors import KTooLarge, MissingTimestamps, ParseError
-from dynconn.two_edge import TwoEdgeIndex
+from dynconn.spanning_forest import SpanningForest
+from dynconn.two_edge import TwoEdgeForest, TwoEdgeIndex
 from dynconn.workload import (
     MetricsReport,
     build_index,
@@ -229,6 +230,16 @@ def test_two_ec_fuzz_clean_and_deterministic():
     assert a.ok
     assert a.checks == 16
     assert (a.queries, a.find_calls) == (b.queries, b.find_calls)
+
+
+def test_fuzz_counts_a_raising_op_and_stops(monkeypatch):
+    # a reroot that leaves every cover count where it was corrupts the
+    # forest until an op's own check raises
+    monkeypatch.setattr(TwoEdgeForest, "reroot", SpanningForest.reroot)
+    out = run_fuzz("2ec", n=10, ops=400, seed=3, check_every=100)
+    assert out.violation_count == 1
+    assert out.violations == ["op 50: RepUnderflow: cover count below zero above 6"]
+    assert out.checks == 0  # stopped before the first check at op 99
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 30, 80])
