@@ -8,18 +8,24 @@ Example:
 import argparse
 import sys
 
+from dynconn.cli import _int_from
 from dynconn.workload import random_edge_stream
 
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--n", type=int, required=True, help="vertex count")
-    p.add_argument("--m", type=int, required=True, help="edge count")
+    p.add_argument("--n", type=_int_from(0), required=True, help="vertex count")
+    p.add_argument("--m", type=_int_from(0), required=True, help="edge count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timestamps", action="store_true",
                    help="emit increasing integer arrival times")
     p.add_argument("-o", "--output", default=None, help="default stdout")
-    args = p.parse_args(argv)
+    try:
+        args = p.parse_args(argv)
+        if args.m > args.n * (args.n - 1) // 2:
+            p.error(f"--m {args.m} exceeds the simple-graph maximum for --n {args.n}")
+    except SystemExit as exc:  # argparse signals usage errors via exit(2)
+        return int(exc.code or 0)
 
     stream = random_edge_stream(args.n, args.m, args.seed, args.timestamps)
     out = open(args.output, "w") if args.output else sys.stdout

@@ -17,6 +17,7 @@ import time
 
 from .errors import DynConnError, KTooLarge, MissingTimestamps, ParseError
 from .workload import (
+    MODES,
     MetricsReport,
     build_index,
     load_edge_file,
@@ -65,7 +66,7 @@ def _build_parser():
         if needs_input:
             sp.add_argument("--input", required=True, help="edge list file")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--mode", choices=("conn", "2ec"), default="conn")
+        sp.add_argument("--mode", choices=tuple(MODES), default="conn")
         sp.add_argument("--output", default=None, help="CSV path (default stdout)")
 
     b = sub.add_parser("build", help="ingest an edge list, report index statistics")

@@ -24,11 +24,12 @@ from .spanning_forest import DeleteKind, InsertKind, SpanningForest
 
 
 class ConnectivityIndex:
-    def __init__(self, n: int, validate: bool = False):
+    mode = "conn"
+
+    def __init__(self, n: int):
         self.graph = DynamicGraph(n)
         self.forest = SpanningForest(self.graph)
         self.dsets = DisjointSetForest(n)
-        self._validate = validate
         # workload statistics, accumulated over tree-edge deletions
         self.tree_deletes = 0
         self.splits = 0
@@ -46,8 +47,6 @@ class ConnectivityIndex:
             kind, root = f.insert_nontree(u, v)
             if root != ru:
                 ds.reroot(root)
-            if self._validate:
-                self._audit()
             return kind
         size = f.size
         if size[ru] > size[rv]:
@@ -57,8 +56,6 @@ class ConnectivityIndex:
         root = f.link(u, v, rv)
         if root != rv:
             ds.reroot(root)
-        if self._validate:
-            self._audit()
         return InsertKind.TREE_EDGE
 
     def delete(self, u: int, v: int) -> DeleteKind:
@@ -75,8 +72,6 @@ class ConnectivityIndex:
             self.splits += 1
             self.split_visited_total += len(out.visited)
             ds.split_off(out.small_root, out.visited, out.big_root)
-        if self._validate:
-            self._audit()
         return out.kind
 
     def connected(self, u: int, v: int) -> bool:
@@ -87,6 +82,8 @@ class ConnectivityIndex:
         except TypeError:  # a non-int id fails before anything changes
             pass
         raise OutOfRange(f"query ({u}, {v})")
+
+    query = connected
 
     def partition(self) -> list:
         """Set representative of every vertex, read without compressing
@@ -115,7 +112,8 @@ class ConnectivityIndex:
         }
 
     def _audit(self):
-        # every spanning-tree root must be its own set representative
+        # every spanning-tree root must be its own set representative,
+        # read by peek_root so the audit neither compresses nor counts
         for r in self.forest.roots():
-            if self.dsets.find(r) != r:
-                raise InvariantError(f"root {r} lost set ownership")
+            if self.dsets.peek_root(r) != r:
+                raise InvariantError(f"tree root {r} is not its set representative")

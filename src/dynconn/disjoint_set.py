@@ -25,11 +25,13 @@ node already hanging directly under the root is left where it is.
 
 from __future__ import annotations
 
-from .errors import InvariantError, IsRoot, NotRoot
+from .errors import InvariantError, IsRoot, NotRoot, OutOfRange
 
 
 class DisjointSetForest:
     def __init__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise OutOfRange(f"set count {n!r} is not an int of at least 0")
         self._n = n
         self._parent = list(range(n))
         self._slot = list(range(n))

@@ -16,8 +16,8 @@ class DynamicGraph:
     __slots__ = ("n", "m", "adj")
 
     def __init__(self, n: int):
-        if n < 0:
-            raise OutOfRange(f"vertex count {n} is negative")
+        if not isinstance(n, int) or n < 0:
+            raise OutOfRange(f"vertex count {n!r} is not an int of at least 0")
         self.n = n
         self.m = 0
         self.adj: list[set[int]] = [set() for _ in range(n)]

@@ -210,6 +210,8 @@ class TwoEdgeIndex:
     freely.
     """
 
+    mode = "2ec"
+
     def __init__(self, n: int):
         self.graph = DynamicGraph(n)
         self.forest = TwoEdgeForest(self.graph)
@@ -246,6 +248,11 @@ class TwoEdgeIndex:
         except TypeError:  # a non-int id fails before anything changes
             pass
         raise OutOfRange(f"query ({u}, {v})")
+
+    # the protocol both indexes share; the benchmark binds the 2-suffixed names
+    insert = insert2
+    delete = delete2
+    query = two_edge_connected
 
     def connected(self, u: int, v: int) -> bool:
         """Plain connectivity, by root walks (no set forest for this here)."""

@@ -1,7 +1,7 @@
 """Workload drivers: edge-list ingestion, benchmark protocols, fuzzing.
 
-Each driver serves both indexes: `new_index` builds one from a mode
-("conn" or "2ec") and `index_ops` binds its insert, delete and query.
+Both indexes answer `insert`, `delete` and `query`, so each driver
+serves either; `MODES` maps a mode to its index class and its oracle.
 Everything here speaks plain-text edge lists ("u v" or "u v t" per
 line, '#' or '%' starting a comment line) and emits flat CSV so runs
 can be diffed or plotted without bespoke tooling.
@@ -25,7 +25,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .connectivity import ConnectivityIndex
-from .errors import DynConnError, KTooLarge, MissingTimestamps, OutOfRange, ParseError
+from .errors import (DynConnError, InvariantError, KTooLarge, MissingTimestamps,
+                     OutOfRange, ParseError)
 from .oracle import (
     Partition,
     oracle_components,
@@ -193,19 +194,23 @@ def _fmt(v):
 # -- index plumbing ------------------------------------------------------------
 
 
+# mode -> (index class, oracle partition of a graph)
+MODES = {
+    "conn": (ConnectivityIndex, oracle_components),
+    "2ec": (TwoEdgeIndex, oracle_two_edge_components),
+}
+
+
 def new_index(n, mode="conn"):
-    if mode == "conn":
-        return ConnectivityIndex(n)
-    if mode == "2ec":
-        return TwoEdgeIndex(n)
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    return MODES[mode][0](n)
 
 
-def index_ops(idx):
-    """(insert, delete, query) bound methods for either index flavour."""
-    if isinstance(idx, TwoEdgeIndex):
-        return idx.insert2, idx.delete2, idx.two_edge_connected
-    return idx.insert, idx.delete, idx.connected
+def _check_count(name, x, lo):
+    """OutOfRange unless x is an int of at least lo."""
+    if not isinstance(x, int) or x < lo:
+        raise OutOfRange(f"{name} must be an int of at least {lo}, got {x!r}")
 
 
 def build_index(stream, mode="conn"):
@@ -215,7 +220,7 @@ def build_index(stream, mode="conn"):
     a no-op event, as temporal datasets repeat edges freely.
     """
     idx = new_index(stream.n, mode)
-    ins = index_ops(idx)[0]
+    ins = idx.insert
     g = idx.graph
     dup = 0
     for ev in stream.events:
@@ -242,10 +247,11 @@ def _apply_structure_stats(report, idx, before):
 
 def time_queries(idx, count, seed=0):
     """Mean ns per query over `count` seeded uniform vertex pairs."""
+    _check_count("query count", count, 1)
     n = idx.graph.n
     if n == 0:
         raise OutOfRange("no vertices to query")
-    query = index_ops(idx)[2]
+    query = idx.query
     rng = random.Random(seed)
     t0 = time.perf_counter_ns()
     for _ in range(count):
@@ -265,9 +271,10 @@ def run_random_cycle(idx, k, seed=0):
     the BFS oracle.
     """
     g = idx.graph
+    _check_count("k", k, 0)
     if k > g.m:
         raise KTooLarge(f"k={k} exceeds live edge count {g.m}")
-    ins, delete, _ = index_ops(idx)
+    ins, delete = idx.insert, idx.delete
     rng = random.Random(seed)
     victims = rng.sample(sorted(g.edges()), k)
 
@@ -285,11 +292,7 @@ def run_random_cycle(idx, k, seed=0):
     if after != before:
         raise AssertionError("delete/re-insert cycle failed to restore the partition")
     if g.n <= 1000:
-        if isinstance(idx, TwoEdgeIndex):
-            truth = oracle_two_edge_components(g)
-        else:
-            truth = oracle_components(g)
-        if after != truth:
+        if after != MODES[idx.mode][1](g):
             raise AssertionError("restored partition disagrees with the oracle")
 
     report = MetricsReport()
@@ -319,7 +322,7 @@ def run_sliding_window(stream, pct, mode="conn", queries=0, seed=0):
     if any(e.t is None for e in events):
         raise MissingTimestamps("sliding windows need 'u v t' rows throughout")
     idx = new_index(stream.n, mode)
-    ins, delete, _ = index_ops(idx)
+    ins, delete = idx.insert, idx.delete
     g = idx.graph
     span = max(e.t for e in events) - min(e.t for e in events) if events else 0
     snap = idx.counters()
@@ -442,11 +445,16 @@ def run_fuzz(mode="conn", n=64, ops=50_000, seed=0, check_every=100,
     stats stay honest.  `tail_queries` extra queries run afterwards to
     pile up find traffic for walk-length statistics.  A DynConnError
     raised inside an op or a check counts as one violation at that op
-    and ends the run there.
+    and ends the run there; a failed root audit does not end it.
     """
+    _check_count("n", n, 2)
+    _check_count("ops", ops, 0)
+    _check_count("check_every", check_every, 1)
+    _check_count("tail_queries", tail_queries, 0)
     rng = random.Random(seed)
     idx = new_index(n, mode)
-    insert, delete, query = index_ops(idx)
+    oracle = MODES[mode][1]
+    insert, delete, query = idx.insert, idx.delete, idx.query
     g = idx.graph
     forest = idx.forest
     live = _LiveEdges(n)
@@ -462,17 +470,15 @@ def run_fuzz(mode="conn", n=64, ops=50_000, seed=0, check_every=100,
             violations.append(msg)
 
     if mode == "conn":
-        walk, oracle = forest._root, oracle_components
+        walk = forest._root
 
         def audit(step, checking):
-            peek = idx.dsets.peek_root
-            for rt in forest.roots():
-                if peek(rt) != rt:
-                    note(f"op {step}: tree root {rt} is not its set representative",
-                         root=True)
-                    return
+            try:
+                idx._audit()
+            except InvariantError as exc:
+                note(f"op {step}: {exc}", root=True)
     else:
-        walk, oracle = forest.ecc_root, oracle_two_edge_components
+        walk = forest.ecc_root
 
         def audit(step, checking):
             if not checking:

@@ -1,5 +1,8 @@
 """Exit codes, CSV emission, flag handling."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from dynconn import cli
@@ -187,3 +190,27 @@ def test_stats_reports_stream_shape(capsys, tmp_path):
     assert "dropped_self_loops,1\n" in out
     assert "timestamped,1\n" in out
     assert "time_span,15\n" in out
+
+
+def _gen_graph():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "gen_graph.py"
+    spec = importlib.util.spec_from_file_location("gen_graph", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("argv", [["--n", "3", "--m", "10"], ["--n", "-2", "--m", "1"],
+                                  ["--n", "4", "--m", "-1"], ["--n", "x", "--m", "1"]])
+def test_gen_graph_bad_sizes_are_usage_errors(capsys, argv):
+    assert _gen_graph().main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_gen_graph_writes_the_seeded_edges(capsys):
+    assert _gen_graph().main(["--n", "3", "--m", "3", "--seed", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "# random graph n=3 m=3 seed=1"
+    assert sorted(rows[1:]) == ["0 1", "0 2", "1 2"]

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynconn.connectivity import ConnectivityIndex
+from dynconn.disjoint_set import DisjointSetForest
 from dynconn.errors import DuplicateEdge, EdgeAbsent, OutOfRange, SelfLoop
+from dynconn.graph import DynamicGraph
 from dynconn.oracle import Partition, oracle_components, oracle_connected
 from dynconn.spanning_forest import DeleteKind, InsertKind
 from dynconn.two_edge import TwoEdgeIndex
@@ -120,6 +122,35 @@ def test_rejected_ops_raise_their_error_and_change_nothing(make, ops):
         assert _arrays(idx) == before, (op.__name__, args)
 
 
+@pytest.mark.parametrize("n", [1.5, "5", None, -1])
+@pytest.mark.parametrize("make", [ConnectivityIndex, TwoEdgeIndex, DynamicGraph,
+                                  DisjointSetForest])
+def test_bad_vertex_count_raises_out_of_range(make, n):
+    with pytest.raises(OutOfRange):
+        make(n)
+
+
+def test_protocol_names_alias_the_two_edge_names():
+    # the benchmark binds the 2-suffixed names; the protocol must be them
+    assert TwoEdgeIndex.insert is TwoEdgeIndex.insert2
+    assert TwoEdgeIndex.delete is TwoEdgeIndex.delete2
+    assert TwoEdgeIndex.query is TwoEdgeIndex.two_edge_connected
+    assert ConnectivityIndex.query is ConnectivityIndex.connected
+    assert (ConnectivityIndex.mode, TwoEdgeIndex.mode) == ("conn", "2ec")
+
+
+def test_audit_neither_compresses_nor_counts():
+    idx = ConnectivityIndex(12)
+    rng = random.Random(4)
+    for v in range(1, 12):
+        idx.insert(rng.randrange(v), v)
+    idx.delete(*next(idx.graph.edges()))
+    ds = idx.dsets
+    before = (ds.counters(), list(ds._parent))
+    idx._audit()
+    assert (ds.counters(), list(ds._parent)) == before
+
+
 def test_component_stats():
     idx = ConnectivityIndex(5)
     idx.insert(0, 1)
@@ -135,7 +166,7 @@ def test_component_stats():
 def test_queries_agree_three_ways_small_fuzz():
     rng = random.Random(11)
     n = 24
-    idx = ConnectivityIndex(n, validate=True)
+    idx = ConnectivityIndex(n)
     edges = []
     for step in range(800):
         r = rng.random()
@@ -153,6 +184,7 @@ def test_queries_agree_three_ways_small_fuzz():
             want = oracle_connected(idx.graph, u, v)
             assert idx.connected(u, v) == want
             assert idx.forest.query(u, v) == want
+        idx._audit()
         if step % 50 == 0:
             assert index_partition(idx) == oracle_components(idx.graph)
             assert roots_consistent(idx)

@@ -1,21 +1,29 @@
 """Stream parsing, benchmark protocols, CSV shape, fuzz determinism."""
 
 import io
+import random
 
 import pytest
 
-from dynconn.errors import KTooLarge, MissingTimestamps, ParseError
+from dynconn.connectivity import ConnectivityIndex
+from dynconn.errors import (InvariantError, KTooLarge, MissingTimestamps, OutOfRange,
+                            ParseError)
+from dynconn.graph import DynamicGraph
+from dynconn.oracle import Partition
 from dynconn.spanning_forest import SpanningForest
 from dynconn.two_edge import TwoEdgeForest, TwoEdgeIndex
 from dynconn.workload import (
+    MODES,
     MetricsReport,
     build_index,
     load_edge_file,
+    new_index,
     parse_edge_stream,
     random_edge_stream,
     run_fuzz,
     run_random_cycle,
     run_sliding_window,
+    time_queries,
 )
 
 
@@ -79,6 +87,37 @@ def test_random_edge_stream_is_simple_exact_and_seeded():
         random_edge_stream(4, 7)
 
 
+# -- index protocol ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["conn", "2ec"])
+def test_protocol_alone_tracks_the_mode_oracle(mode):
+    # seeded random ops through insert/delete/query only, checked against
+    # the mode's oracle on a graph the index never sees
+    n = 10
+    idx = new_index(n, mode)
+    assert idx.mode == mode
+    oracle = MODES[mode][1]
+    shadow = DynamicGraph(n)
+    rng = random.Random(21)
+    for _ in range(800):
+        u, v = rng.sample(range(n), 2)
+        if rng.random() < 0.7:
+            if shadow.remove_edge(u, v):
+                idx.delete(u, v)
+            else:
+                shadow.add_edge(u, v)
+                idx.insert(u, v)
+        else:
+            assert idx.query(u, v) == oracle(shadow).same_block(u, v)
+    assert Partition(idx.partition()) == oracle(shadow)
+
+
+def test_unknown_mode_is_a_value_error():
+    with pytest.raises(ValueError):
+        new_index(4, "3ec")
+
+
 # -- build ---------------------------------------------------------------------
 
 
@@ -135,6 +174,22 @@ def test_cycle_k_too_large():
     idx, _ = build_index(parse_edge_stream(["0 1"]))
     with pytest.raises(KTooLarge):
         run_random_cycle(idx, 2)
+
+
+@pytest.mark.parametrize("k", [-1, 1.5, "1", None])
+def test_cycle_bad_k_is_out_of_range_and_changes_nothing(k):
+    idx, _ = build_index(parse_edge_stream(["0 1", "1 2"]))
+    before = (list(idx.forest.parent), idx.partition(), idx.counters())
+    with pytest.raises(OutOfRange):
+        run_random_cycle(idx, k)
+    assert (list(idx.forest.parent), idx.partition(), idx.counters()) == before
+
+
+@pytest.mark.parametrize("count", [0, -3, 2.5])
+def test_query_batch_bad_count_is_out_of_range(count):
+    idx, _ = build_index(parse_edge_stream(["0 1"]))
+    with pytest.raises(OutOfRange):
+        time_queries(idx, count)
 
 
 # -- sliding window --------------------------------------------------------
@@ -230,6 +285,25 @@ def test_two_ec_fuzz_clean_and_deterministic():
     assert a.ok
     assert a.checks == 16
     assert (a.queries, a.find_calls) == (b.queries, b.find_calls)
+
+
+@pytest.mark.parametrize("kwargs", [{"n": 1}, {"n": 0}, {"n": 2.5}, {"ops": -1},
+                                    {"check_every": 0}, {"tail_queries": -1}])
+@pytest.mark.parametrize("mode", ["conn", "2ec"])
+def test_fuzz_bad_sizes_are_out_of_range(mode, kwargs):
+    with pytest.raises(OutOfRange):
+        run_fuzz(mode, **{"n": 8, "ops": 10, **kwargs})
+
+
+def test_fuzz_root_audit_failure_counts_and_the_run_goes_on(monkeypatch):
+    def broken(self):
+        raise InvariantError("tree root 0 is not its set representative")
+
+    monkeypatch.setattr(ConnectivityIndex, "_audit", broken)
+    out = run_fuzz("conn", n=6, ops=30, seed=1, check_every=10)
+    assert out.root_violations == out.violation_count == 30
+    assert out.checks == 3
+    assert out.violations[0] == "op 0: tree root 0 is not its set representative"
 
 
 def test_fuzz_counts_a_raising_op_and_stops(monkeypatch):
