@@ -65,7 +65,6 @@ def _build_parser():
     def common(sp, needs_input=True):
         if needs_input:
             sp.add_argument("--input", required=True, help="edge list file")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--mode", choices=tuple(MODES), default="conn")
         sp.add_argument("--output", default=None, help="CSV path (default stdout)")
 
@@ -90,6 +89,9 @@ def _build_parser():
     f.add_argument("--n", type=_int_from(2), default=64)
     f.add_argument("--ops", type=_int_from(0), default=50_000)
     f.add_argument("--check-every", type=_int_from(1), default=100)
+
+    for sp in (bench, w, f):  # build draws nothing at random
+        sp.add_argument("--seed", type=int, default=0)
 
     s = sub.add_parser("stats", help="stream statistics without building an index")
     s.add_argument("--input", required=True)

@@ -68,7 +68,7 @@ class ConnectivityIndex:
         ds.reroot(out.big_root)
         self.tree_deletes += 1
         self.probe_total += out.probes
-        if not out.replaced:
+        if out.kind is DeleteKind.TREE_SPLIT:
             self.splits += 1
             self.split_visited_total += len(out.visited)
             ds.split_off(out.small_root, out.visited, out.big_root)

@@ -54,7 +54,8 @@ class MissingTimestamps(DynConnError):
 
 
 class ParseError(DynConnError):
-    """Malformed line in an edge-stream file."""
+    """Malformed line in an edge-stream file, or an edge stream whose
+    timestamps decrease where a replay needs them in order."""
 
     def __init__(self, message, line_no=None):
         super().__init__(message if line_no is None else f"line {line_no}: {message}")

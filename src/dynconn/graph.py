@@ -60,23 +60,6 @@ class DynamicGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._pair(u, v)[0]
 
-    def _nbrs(self, u: int) -> set[int]:
-        """Adjacency set of u; OutOfRange unless u is an int in [0, n)."""
-        n = self.n
-        try:
-            if 0 <= u < n:
-                return self.adj[u]
-        except TypeError:  # a non-int id fails its comparison or its lookup
-            pass
-        raise OutOfRange(f"vertex {u} outside [0, {n})")
-
-    def degree(self, u: int) -> int:
-        return len(self._nbrs(u))
-
-    def neighbors(self, u: int):
-        """Iterate the current neighbors of u, each exactly once."""
-        return iter(self._nbrs(u))
-
     def edges(self):
         """Iterate all edges once, canonically oriented (u < v)."""
         for u, a in enumerate(self.adj):

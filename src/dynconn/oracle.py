@@ -63,8 +63,9 @@ def oracle_connected(graph, u, v):
     return False
 
 
-def oracle_components(graph):
-    """Connected components as a Partition, by BFS from every vertex."""
+def _label_components(graph, cut):
+    """Components as a Partition, by BFS from every vertex, never crossing
+    an edge of `cut` (canonical (min, max) pairs)."""
     n = graph.n
     labels = [-1] * n
     adj = graph.adj
@@ -76,10 +77,15 @@ def oracle_components(graph):
         while queue:
             x = queue.popleft()
             for y in adj[x]:
-                if labels[y] < 0:
+                if labels[y] < 0 and (min(x, y), max(x, y)) not in cut:
                     labels[y] = s
                     queue.append(y)
     return Partition(labels)
+
+
+def oracle_components(graph):
+    """Connected components as a Partition, by BFS from every vertex."""
+    return _label_components(graph, ())
 
 
 def oracle_bridges(graph):
@@ -128,22 +134,7 @@ def oracle_bridges(graph):
 
 def oracle_two_edge_components(graph):
     """2-edge-connected classes: components after every bridge is cut."""
-    bridges = oracle_bridges(graph)
-    n = graph.n
-    labels = [-1] * n
-    adj = graph.adj
-    for s in range(n):
-        if labels[s] >= 0:
-            continue
-        labels[s] = s
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if labels[y] < 0 and (min(x, y), max(x, y)) not in bridges:
-                    labels[y] = s
-                    queue.append(y)
-    return Partition(labels)
+    return _label_components(graph, oracle_bridges(graph))
 
 
 def oracle_rep(graph, parent):

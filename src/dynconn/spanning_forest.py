@@ -20,7 +20,6 @@ ground it covers so no vertex is examined twice.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import AlreadyRoot, InvariantError, OutOfRange
@@ -50,11 +49,16 @@ class DeletionOutcome:
     """
 
     kind: DeleteKind
-    replaced: bool
     small_root: int | None
     big_root: int | None
     visited: list[int] = field(default_factory=list)
     probes: int = 0
+
+    @property
+    def replaced(self):
+        """Does the component survive: a non-tree edge, or a tree edge
+        that found a replacement."""
+        return self.kind is not DeleteKind.TREE_SPLIT
 
 
 class SpanningForest:
@@ -226,7 +230,7 @@ class SpanningForest:
         """
         parent = self.parent
         if parent[u] != v and parent[v] != u:
-            return DeletionOutcome(DeleteKind.NONTREE, True, None, None)
+            return DeletionOutcome(DeleteKind.NONTREE, None, None)
         if parent[v] == u:
             u, v = v, u
         root_v = self.unlink(u)
@@ -238,12 +242,10 @@ class SpanningForest:
         mark = self._mark
         mark[u] = epoch
         visited = [u]
-        queue = deque((u,))
+        queue = [u]
         adj = self.graph.adj
-        size = self.size
         probes = 0
-        while queue:
-            x = queue.popleft()
+        for x in queue:  # grows while it is read: breadth-first order
             px = parent[x]
             for y in adj[x]:
                 probes += 1
@@ -256,21 +258,17 @@ class SpanningForest:
                         visited.append(y)
                     continue
                 w = y
-                escaped = True
-                while w != -1:
-                    if mark[w] == epoch:
-                        escaped = False
-                        break
+                while w != -1 and mark[w] != epoch:
                     mark[w] = epoch
                     visited.append(w)
                     w = parent[w]
-                if escaped:
+                if w == -1:  # walked off the big half's root: y replaces
                     self.reroot(x)
                     final = self.link(x, y, root_v)
                     return DeletionOutcome(
-                        DeleteKind.TREE_REPLACED, True, u, final, visited, probes
+                        DeleteKind.TREE_REPLACED, u, final, visited, probes
                     )
-        return DeletionOutcome(DeleteKind.TREE_SPLIT, False, u, root_v, visited, probes)
+        return DeletionOutcome(DeleteKind.TREE_SPLIT, u, root_v, visited, probes)
 
     # -- statistics and checking ----------------------------------------
 

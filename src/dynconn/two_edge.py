@@ -172,9 +172,9 @@ class SizedDisjointSet(DisjointSetForest):
         self.dsize[root] -= k
         self.dsize[small] = k
 
-    # split_off moves the counts, so the base isolate is exact here too.
-    # Bound again on this class so a profiler that wraps methods per class
-    # tells class isolates apart from the connectivity sets' ones.
+    # Nothing calls isolate on the class sets: class splits go through
+    # split_off.  The binding stays only because perfbench's tracer spans
+    # SizedDisjointSet.isolate by name, as `two_edge.class_isolate`.
     isolate = DisjointSetForest.isolate
 
     def reroot(self, u):
@@ -253,10 +253,6 @@ class TwoEdgeIndex:
     insert = insert2
     delete = delete2
     query = two_edge_connected
-
-    def connected(self, u: int, v: int) -> bool:
-        """Plain connectivity, by root walks (no set forest for this here)."""
-        return self.forest.query(u, v)
 
     def partition(self) -> list:
         """Class representative of every vertex, read without compressing

@@ -116,8 +116,10 @@ def random_edge_stream(n, m, seed=0, timestamps=False):
     With `timestamps`, arrival times are strictly increasing integers
     with seeded gaps, so the stream is valid sliding-window input.
     """
+    _check_count("n", n, 0)
+    _check_count("m", m, 0)
     if m > n * (n - 1) // 2:
-        raise ValueError(f"m={m} exceeds the simple-graph maximum for n={n}")
+        raise OutOfRange(f"m={m} exceeds the simple-graph maximum for n={n}")
     rng = random.Random(seed)
     chosen = set()
     while len(chosen) < m:
@@ -268,7 +270,7 @@ def run_random_cycle(idx, k, seed=0):
 
     The connectivity (or 2-edge class) partition must come back exactly;
     on graphs up to 1000 vertices it is additionally compared against
-    the BFS oracle.
+    the BFS oracle.  Either failure raises InvariantError.
     """
     g = idx.graph
     _check_count("k", k, 0)
@@ -290,10 +292,10 @@ def run_random_cycle(idx, k, seed=0):
 
     after = Partition(idx.partition())
     if after != before:
-        raise AssertionError("delete/re-insert cycle failed to restore the partition")
+        raise InvariantError("delete/re-insert cycle failed to restore the partition")
     if g.n <= 1000:
         if after != MODES[idx.mode][1](g):
-            raise AssertionError("restored partition disagrees with the oracle")
+            raise InvariantError("restored partition disagrees with the oracle")
 
     report = MetricsReport()
     report.extras["vertices"] = g.n
@@ -316,15 +318,23 @@ def run_sliding_window(stream, pct, mode="conn", queries=0, seed=0):
     are deleted, oldest first (strictly older: age * 100 > span * pct).
     A duplicate arrival of a live edge is a no-op and does not refresh
     the edge's age.  With `queries`, a seeded query batch runs against
-    the final window.
+    the final window.  Timestamps must not decrease along the stream, or
+    the window's front would not be its oldest edge.
     """
+    if not isinstance(pct, int) or not 0 < pct <= 100:
+        raise OutOfRange(f"pct must be an int in (0, 100], got {pct!r}")
     events = stream.events
-    if any(e.t is None for e in events):
-        raise MissingTimestamps("sliding windows need 'u v t' rows throughout")
+    labels = stream.labels
+    for i, e in enumerate(events):
+        if e.t is None:
+            raise MissingTimestamps("sliding windows need 'u v t' rows throughout")
+        if i and e.t < events[i - 1].t:
+            raise ParseError(f"timestamps decrease at event {i} ({labels[e.u]} "
+                             f"{labels[e.v]} {e.t}, after {events[i - 1].t})")
     idx = new_index(stream.n, mode)
     ins, delete = idx.insert, idx.delete
     g = idx.graph
-    span = max(e.t for e in events) - min(e.t for e in events) if events else 0
+    span = events[-1].t - events[0].t if events else 0
     snap = idx.counters()
 
     window = deque()

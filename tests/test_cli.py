@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from dynconn import cli
+from dynconn.connectivity import ConnectivityIndex
 from dynconn.spanning_forest import SpanningForest
 from dynconn.two_edge import TwoEdgeForest
 from dynconn.workload import FuzzOutcome, random_edge_stream
@@ -86,6 +87,15 @@ def test_window_without_timestamps_is_usage_error(capsys, graph_file):
     assert "error:" in err
 
 
+def test_window_with_decreasing_timestamps_is_data_error(capsys, tmp_path):
+    p = tmp_path / "late.txt"
+    p.write_text("2 3 100\n4 5 50\n0 1 0\n")
+    rc, out, err = run(capsys, "window", "--input", str(p), "--pct", "10")
+    assert rc == 1
+    assert out == ""
+    assert err == "error: timestamps decrease at event 1 (4 5 50, after 100)\n"
+
+
 def test_bad_pct_is_usage_error(capsys, temporal_file):
     rc, _, _ = run(capsys, "window", "--input", temporal_file, "--pct", "0,5")
     assert rc == 2
@@ -115,6 +125,36 @@ def test_k_too_large_is_usage_error(capsys, graph_file):
 def test_unknown_flag_is_usage_error(capsys, graph_file):
     rc, _, _ = run(capsys, "build", "--input", graph_file, "--bogus")
     assert rc == 2
+    # build draws nothing at random, so it takes no --seed
+    rc, out, err = run(capsys, "build", "--input", graph_file, "--seed", "1")
+    assert rc == 2
+    assert out == ""
+    assert "unrecognized arguments: --seed 1" in err
+
+
+def test_output_to_a_directory_is_io_error(capsys, graph_file, tmp_path):
+    rc, out, err = run(capsys, "build", "--input", graph_file, "--output", str(tmp_path))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_bench_whose_cycle_does_not_restore_is_data_error(capsys, monkeypatch, tmp_path):
+    # inserts after the first tree delete are lost, so the cycle's
+    # re-inserts never restore the path it cut
+    real = ConnectivityIndex.insert
+
+    def insert(self, u, v):
+        if not self.tree_deletes:
+            return real(self, u, v)
+
+    monkeypatch.setattr(ConnectivityIndex, "insert", insert)
+    p = tmp_path / "path.txt"
+    p.write_text("0 1\n1 2\n2 3\n")
+    rc, out, err = run(capsys, "bench", "--input", str(p), "--k", "3")
+    assert rc == 1
+    assert out == ""
+    assert err == "error: delete/re-insert cycle failed to restore the partition\n"
 
 
 def test_fuzz_small_clean_run(capsys):

@@ -85,7 +85,7 @@ def _arrays(idx):
 @pytest.mark.parametrize("bad", [1.5, 2.0, "1", None])
 @pytest.mark.parametrize("make, ops", [
     (ConnectivityIndex, ("insert", "delete", "connected", "forest.query")),
-    (TwoEdgeIndex, ("insert2", "delete2", "two_edge_connected", "connected")),
+    (TwoEdgeIndex, ("insert2", "delete2", "two_edge_connected", "forest.query")),
 ])
 def test_non_int_ids_raise_out_of_range_and_change_nothing(make, ops, bad):
     idx = make(5)
@@ -101,7 +101,7 @@ def test_non_int_ids_raise_out_of_range_and_change_nothing(make, ops, bad):
 
 @pytest.mark.parametrize("make, ops", [
     (ConnectivityIndex, ("insert", "delete", "connected", "forest.query")),
-    (TwoEdgeIndex, ("insert2", "delete2", "two_edge_connected", "connected")),
+    (TwoEdgeIndex, ("insert2", "delete2", "two_edge_connected", "forest.query")),
 ])
 def test_rejected_ops_raise_their_error_and_change_nothing(make, ops):
     idx = make(6)

@@ -135,7 +135,7 @@ def test_nontree_delete_splits_triangle_into_singletons():
     assert idx.delete2(0, 2) == DeleteKind.NONTREE
     assert not idx.two_edge_connected(0, 1)
     assert not idx.two_edge_connected(1, 2)
-    assert idx.connected(0, 2)
+    assert idx.forest.query(0, 2)
     stats = idx.stats()
     assert stats["classes"] == 3
     assert stats["bridges"] == 2
@@ -175,7 +175,7 @@ def test_double_cover_delete_can_still_split_classes():
     assert not idx.two_edge_connected(0, 1)
     assert idx.two_edge_connected(0, 3)
     assert idx.two_edge_connected(0, 2)
-    assert idx.connected(0, 1)
+    assert idx.forest.query(0, 1)
     check_index(idx)
 
 
@@ -221,7 +221,7 @@ def test_tree_delete_splits_a_class_of_three_in_one_carve():
     assert after["isolate_calls"] - base["isolate_calls"] == 3
     assert after["link_calls"] - base["link_calls"] == 2
     assert sorted(idx.csets.dsize[r] for r in idx.csets.root_vertices()) == [3, 3]
-    assert not idx.two_edge_connected(2, 3) and idx.connected(2, 3)
+    assert not idx.two_edge_connected(2, 3) and idx.forest.query(2, 3)
     check_index(idx)
 
 
@@ -231,8 +231,8 @@ def test_uncovered_tree_delete_splits():
     idx.insert2(1, 2)
     idx.insert2(2, 3)
     assert idx.delete2(1, 2) == DeleteKind.TREE_SPLIT
-    assert not idx.connected(0, 3)
-    assert idx.connected(0, 1)
+    assert not idx.forest.query(0, 3)
+    assert idx.forest.query(0, 1)
     check_index(idx)
 
 

@@ -6,11 +6,12 @@ import random
 import pytest
 
 from dynconn.connectivity import ConnectivityIndex
+from dynconn.disjoint_set import DisjointSetForest
 from dynconn.errors import (InvariantError, KTooLarge, MissingTimestamps, OutOfRange,
                             ParseError)
 from dynconn.graph import DynamicGraph
 from dynconn.oracle import Partition
-from dynconn.spanning_forest import SpanningForest
+from dynconn.spanning_forest import InsertKind, SpanningForest
 from dynconn.two_edge import TwoEdgeForest, TwoEdgeIndex
 from dynconn.workload import (
     MODES,
@@ -83,8 +84,15 @@ def test_random_edge_stream_is_simple_exact_and_seeded():
     assert len(edges) == 80
     ts = [e.t for e in s1.events]
     assert all(a < b for a, b in zip(ts, ts[1:]))
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         random_edge_stream(4, 7)
+
+
+@pytest.mark.parametrize("n, m", [(-2, 1), (2.5, 1), ("4", 1), (None, 0), (4, -1),
+                                  (4, 1.5), (4, None)])
+def test_random_edge_stream_bad_sizes_are_out_of_range(n, m):
+    with pytest.raises(OutOfRange):
+        random_edge_stream(n, m)
 
 
 # -- index protocol ------------------------------------------------------------
@@ -185,6 +193,33 @@ def test_cycle_bad_k_is_out_of_range_and_changes_nothing(k):
     assert (list(idx.forest.parent), idx.partition(), idx.counters()) == before
 
 
+def _lose_reinserts(monkeypatch):
+    # inserts go through until the first tree delete; after it they are
+    # dropped, so a cycle's re-inserts never restore what it deleted
+    real = ConnectivityIndex.insert
+
+    def insert(self, u, v):
+        if not self.tree_deletes:
+            return real(self, u, v)
+
+    monkeypatch.setattr(ConnectivityIndex, "insert", insert)
+
+
+def test_cycle_that_does_not_restore_raises_invariant_error(monkeypatch):
+    _lose_reinserts(monkeypatch)
+    idx, _ = build_index(parse_edge_stream(["0 1", "1 2", "2 3"]))
+    with pytest.raises(InvariantError, match="failed to restore the partition"):
+        run_random_cycle(idx, 3)
+
+
+def test_cycle_that_disagrees_with_the_oracle_raises_invariant_error(monkeypatch):
+    monkeypatch.setitem(MODES, "conn",
+                        (ConnectivityIndex, lambda g: Partition(range(g.n))))
+    idx, _ = build_index(parse_edge_stream(["0 1", "1 2", "2 3"]))
+    with pytest.raises(InvariantError, match="disagrees with the oracle"):
+        run_random_cycle(idx, 2)
+
+
 @pytest.mark.parametrize("count", [0, -3, 2.5])
 def test_query_batch_bad_count_is_out_of_range(count):
     idx, _ = build_index(parse_edge_stream(["0 1"]))
@@ -223,6 +258,25 @@ def test_window_requires_timestamps():
     s = parse_edge_stream(["0 1 5", "1 2"])
     with pytest.raises(MissingTimestamps):
         run_sliding_window(s, 50)
+
+
+def test_window_rejects_decreasing_timestamps():
+    # out of order, the window's front is not its oldest edge, so eviction
+    # would stop early: in time order these rows evict two edges at 10%
+    rows = ["2 3 100", "4 5 50", "0 1 0"]
+    assert run_sliding_window(parse_edge_stream(rows[::-1]), 10).counts["delete"] == 2
+    with pytest.raises(ParseError, match=r"timestamps decrease at event 1 \(4 5 50, after 100\)"):
+        run_sliding_window(parse_edge_stream(rows), 10)
+    # equal timestamps are in order
+    rep = run_sliding_window(parse_edge_stream(["0 1 5", "1 2 5", "2 3 5"]), 50)
+    assert rep.counts == {"insert": 3, "delete": 0, "noop": 0}
+
+
+@pytest.mark.parametrize("pct", [0, -5, 101, 2.5, "x", None])
+def test_window_bad_pct_is_out_of_range(pct):
+    s = parse_edge_stream(["0 1 0", "1 2 10", "2 3 20"])
+    with pytest.raises(OutOfRange):
+        run_sliding_window(s, pct)
 
 
 def test_window_query_batch_rows():
@@ -330,3 +384,59 @@ def test_two_ec_fuzz_takes_the_rewire_path(monkeypatch, n):
         out = run_fuzz("2ec", n=n, ops=3000, seed=seed, check_every=3)
         assert out.ok, out.violations
     assert rewires
+
+
+# -- the fuzzer catches wrong answers ------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["conn", "2ec"])
+def test_fuzz_catches_a_wrong_set_answer(monkeypatch, mode):
+    real = DisjointSetForest.same_set
+    monkeypatch.setattr(DisjointSetForest, "same_set",
+                        lambda self, u, v: not real(self, u, v))
+    out = run_fuzz(mode, n=8, ops=200, seed=1, check_every=50, tail_queries=10)
+    # every query is now wrong, and nothing else is
+    assert out.violation_count == out.queries == 47
+    assert out.violations[0] == "op 8: query(0,3) sets=True walk=False oracle=False"
+    assert all("query(" in msg for msg in out.violations)
+
+
+def test_fuzz_catches_a_lying_forest_walk(monkeypatch):
+    monkeypatch.setattr(SpanningForest, "_root", lambda self, u: u)
+    out = run_fuzz("conn", n=8, ops=200, seed=1, check_every=50)
+    walks = [m for m in out.violations if "partition" in m]
+    assert walks == [f"op {s}: walk partition diverged from oracle"
+                     for s in (49, 99, 149, 199)]
+    assert out.violation_count == 17  # 4 checks plus 13 wrong walk answers
+    assert all("sets=False walk=False" not in m for m in out.violations)
+
+
+@pytest.mark.parametrize("mode, steps", [("conn", (49, 99, 149, 199)),
+                                         ("2ec", (99, 149))])
+def test_fuzz_catches_a_wrong_set_partition(monkeypatch, mode, steps):
+    # every vertex reported alone: wrong at each check whose truth has a
+    # class of two or more (in 2ec mode every class at ops 49 and 199 is
+    # a single vertex)
+    monkeypatch.setattr(MODES[mode][0], "partition",
+                        lambda self: list(range(self.graph.n)))
+    out = run_fuzz(mode, n=8, ops=200, seed=1, check_every=50)
+    assert out.violations == [f"op {s}: set partition diverged from oracle"
+                              for s in steps]
+    assert out.violation_count == len(steps)
+
+
+def test_fuzz_catches_a_wrong_cover_count(monkeypatch):
+    # the first tree edge is stored one cover too high
+    real = TwoEdgeIndex.insert2
+
+    def insert(self, u, v):
+        kind = real(self, u, v)
+        if kind is InsertKind.TREE_EDGE and not hasattr(self, "bumped"):
+            self.bumped = u if self.forest.parent[u] == v else v
+            self.forest.rep[self.bumped] += 1
+        return kind
+
+    monkeypatch.setattr(TwoEdgeIndex, "insert", insert)
+    out = run_fuzz("2ec", n=8, ops=200, seed=1, check_every=1)
+    assert out.violation_count >= 1
+    assert out.violations[0] == "op 0: stored cover counts diverged from oracle"
