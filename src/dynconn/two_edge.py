@@ -24,10 +24,14 @@ Inserts keep the forest shallow with the same swap.  A non-tree edge e
 whose ends lie gap >= 2 levels apart replaces the tree edge f that the
 plain forest's depth-halving rewire would cut, about half the gap above
 the deeper end, provided f then has at most gap covers, e's included.
-f stays in the graph and counts as one more crossing edge, whose new
-path is e's old cycle minus f; as it covers that whole path, the swap
-changes no class.  The cap on covers bounds the upward walks a rewire
-pays for.
+Failing that, e falls back to the highest edge between the deeper end
+and f that is under the same cap and heads two or more vertices: every
+such edge lies on e's cycle below its meeting point, and lifting a lone
+vertex saves one vertex's depth yet walks up from every cover.  The cut
+edge stays in the graph and counts as one more crossing edge, whose new
+path is e's old cycle minus that edge; as it covers that whole path,
+the swap changes no class.  The cap on covers bounds the upward walks a
+rewire pays for.
 
 On top of the forest sits a second disjoint-set forest, one set per
 2-edge class with member counts.  A counter rising off zero merges two
@@ -223,6 +227,9 @@ class TwoEdgeIndex:
         self.splits = 0
         self.split_visited_total = 0
         self.probe_total = 0
+        # non-tree inserts that swapped themselves into the tree, by rule
+        self.halfway_rewires = 0
+        self.fallback_rewires = 0
 
     def insert2(self, u: int, v: int) -> InsertKind:
         if not self.graph.add_edge(u, v):
@@ -266,6 +273,8 @@ class TwoEdgeIndex:
             "splits": self.splits,
             "split_visited_total": self.split_visited_total,
             "probe_total": self.probe_total,
+            "halfway_rewires": self.halfway_rewires,
+            "fallback_rewires": self.fallback_rewires,
             **self.csets.counters(),
         }
 
@@ -291,7 +300,10 @@ class TwoEdgeIndex:
         """Forest placement plus class merges on every 0 -> 1 counter.  A
         non-tree edge whose ends lie gap >= 2 levels apart then takes the
         place of the tree edge f that SpanningForest's depth-halving rewire
-        would cut, when f has at most gap covers (see _rewire)."""
+        would cut, when f has at most gap covers (see _rewire).  When f has
+        more, it takes the place of the highest edge between the deeper end
+        and f that has at most gap covers and heads two or more vertices;
+        with none, the tree stays."""
         f = self.forest
         ru, du = f._root_depth(u)
         rv, dv = f._root_depth(v)
@@ -311,9 +323,25 @@ class TwoEdgeIndex:
         # the swap walks up from every cover of f, e's included; taking it
         # only while they number at most the gap keeps its cost in line
         # with the depth it saves
-        if f.rep[w] > gap:
+        rep = f.rep
+        if rep[w] <= gap:
+            self.halfway_rewires += 1
+            self._rewire(u, v, w)
+            return InsertKind.NONTREE_REWIRED
+        # fallback below w: a lone vertex is never lifted, as that saves
+        # one vertex's depth yet still walks up from every cover
+        parent = f.parent
+        size = f.size
+        x = -1
+        y = u
+        while y != w:
+            if rep[y] <= gap and size[y] >= 2:
+                x = y
+            y = parent[y]
+        if x < 0:
             return InsertKind.NONTREE_NOOP
-        self._rewire(u, v, w)
+        self.fallback_rewires += 1
+        self._rewire(u, v, x)
         return InsertKind.NONTREE_REWIRED
 
     def _cover(self, u, v):
@@ -458,6 +486,8 @@ class TwoEdgeIndex:
         side's end of each crossing pair.  An edge of the s..t path below
         which c of the k crossing ends lie gains k - 2c on s's branch and
         loses k - 2c on t's.  Returns how many counters reached zero."""
+        if s == t:  # an empty path: no counter on this side can change
+            return 0
         f = self.forest
         parent = f.parent
         size = f.size

@@ -38,11 +38,13 @@ from .two_edge import TwoEdgeIndex
 
 @dataclass
 class WorkloadEvent:
-    """One edge arrival, in dense vertex ids; `t` is its timestamp."""
+    """One edge arrival, in dense vertex ids; `t` is its timestamp and
+    `line` the source line it was read from, None for generated streams."""
 
     u: int
     v: int
     t: int | None = None
+    line: int | None = None
 
 
 @dataclass
@@ -101,7 +103,7 @@ def parse_edge_stream(source):
         if du == dv:
             dropped += 1
             continue
-        events.append(WorkloadEvent(du, dv, t))
+        events.append(WorkloadEvent(du, dv, t, line_no))
     return EdgeStream(events, len(labels), labels, mapping, dropped)
 
 
@@ -329,8 +331,11 @@ def run_sliding_window(stream, pct, mode="conn", queries=0, seed=0):
         if e.t is None:
             raise MissingTimestamps("sliding windows need 'u v t' rows throughout")
         if i and e.t < events[i - 1].t:
-            raise ParseError(f"timestamps decrease at event {i} ({labels[e.u]} "
-                             f"{labels[e.v]} {e.t}, after {events[i - 1].t})")
+            # a parsed row is named by its line, a generated one by its index
+            where = f" at event {i}" if e.line is None else ""
+            raise ParseError(f"timestamps decrease{where} ({labels[e.u]} "
+                             f"{labels[e.v]} {e.t}, after {events[i - 1].t})",
+                             e.line)
     idx = new_index(stream.n, mode)
     ins, delete = idx.insert, idx.delete
     g = idx.graph

@@ -93,7 +93,7 @@ def test_window_with_decreasing_timestamps_is_data_error(capsys, tmp_path):
     rc, out, err = run(capsys, "window", "--input", str(p), "--pct", "10")
     assert rc == 1
     assert out == ""
-    assert err == "error: timestamps decrease at event 1 (4 5 50, after 100)\n"
+    assert err == "error: line 2: timestamps decrease (4 5 50, after 100)\n"
 
 
 def test_bad_pct_is_usage_error(capsys, temporal_file):

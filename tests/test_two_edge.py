@@ -367,6 +367,8 @@ def test_insert_rewires_when_the_cut_edge_has_few_covers():
     assert idx.forest.parent == [1, -1, 0, 1, 3, 4, 0, 3]
     assert idx.forest.rep == [1, 0, 1, 1, 1, 0, 0, 2]
     assert class_partition(idx) == classes  # (2, 7) had merged 3 and 7
+    counts = idx.counters()
+    assert (counts["halfway_rewires"], counts["fallback_rewires"]) == (1, 0)
     check_index(idx)
 
 
@@ -397,13 +399,83 @@ def test_rewire_when_the_cut_edge_holds_the_bigger_side():
     check_index(idx)
 
 
+def _hand_built(parent, nontree):
+    """Index over the tree `parent`, sizes derived, plus non-tree edges
+    placed by their cover walks alone, so that setting up never rewires."""
+    n = len(parent)
+    idx = TwoEdgeIndex(n)
+    size = [1] * n
+    for x in sorted(range(n), key=lambda x: -len(_ancestors(parent, x))):
+        if parent[x] != -1:
+            idx.graph.add_edge(x, parent[x])
+            size[parent[x]] += size[x]
+    idx.forest.parent = list(parent)
+    idx.forest.size = size
+    for e in nontree:
+        idx.graph.add_edge(*e)
+        idx._cover(*e)
+    check_index(idx)
+    return idx
+
+
+def test_insert_falls_back_to_a_lower_subtree_when_halfway_is_over_the_cap():
+    # the path 0-1-2-3-4-5-6 rooted at 0, with 7 under 3.  (5, 0) has gap
+    # 5, so the halfway rule cuts (3, 2), which five chords and e cover:
+    # 6 > 5.  Below it, (5, 4) and (4, 3) each have one cover and head two
+    # or more vertices; the higher one, (4, 3), is cut, and 4's subtree
+    # hangs from e, rerooted at 5
+    idx = _hand_built([-1, 0, 1, 2, 3, 4, 5, 3],
+                      ((3, 0), (3, 1), (7, 0), (7, 1), (7, 2)))
+    f = idx.forest
+    seen = []  # the classes each rewire starts from
+    rewire = idx._rewire
+
+    def spy(u, v, w):
+        seen.append(class_partition(idx))
+        return rewire(u, v, w)
+
+    idx._rewire = spy
+    assert idx.insert2(5, 0) == InsertKind.NONTREE_REWIRED
+    assert (f.parent, f.size, f.rep) == ([-1, 0, 1, 2, 5, 0, 5, 3],
+                                         [8, 4, 3, 2, 1, 3, 1, 1],
+                                         [0, 3, 5, 6, 1, 1, 0, 3])
+    assert seen == [class_partition(idx)]  # the swap changed no class
+    assert class_partition(idx) == Partition([0, 0, 0, 0, 0, 0, 6, 0])
+    counts = idx.counters()
+    assert (counts["halfway_rewires"], counts["fallback_rewires"]) == (0, 1)
+    check_index(idx)
+
+
+def test_insert_refuses_the_fallback_for_a_lone_vertex():
+    # the path 0-1-2-3 with 4 under 2.  (3, 0) has gap 3, so the halfway
+    # rule cuts (2, 1), which three chords and e cover: 4 > 3.  Below it
+    # only (3, 2) is left, under the cap but above a lone vertex
+    idx = _hand_built([-1, 0, 1, 2, 2], ((2, 0), (4, 1), (4, 0)))
+    f = idx.forest
+    assert idx.insert2(3, 0) == InsertKind.NONTREE_NOOP
+    assert (f.parent, f.rep) == ([-1, 0, 1, 2, 2], [0, 3, 4, 1, 2])
+    counts = idx.counters()
+    assert (counts["halfway_rewires"], counts["fallback_rewires"]) == (0, 0)
+    check_index(idx)
+
+
+def test_shift_covers_skips_an_empty_side():
+    idx = _built(8, _DEEP_7)
+    f = idx.forest
+    before = (list(f._mark), f._epoch, list(idx._land), list(f.rep))
+    assert idx._shift_covers(7, 7, [(7, 2), (7, 4)], 0, 2) == 0
+    assert (list(f._mark), f._epoch, list(idx._land), list(f.rep)) == before
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10_000), st.integers(4, 14))
 def test_insert_kind_follows_the_gap_rule(seed, n):
-    # a non-tree insert rewires iff its ends lie gap >= 2 levels apart and
-    # the tree edge above the ancestor (gap + 1) // 2 - 1 steps over the
-    # deep end then has at most gap covers; the first insert, into a bare
-    # random tree, always does
+    # a non-tree insert whose ends lie gap >= 2 levels apart rewires when
+    # the tree edge above w, the ancestor (gap + 1) // 2 - 1 steps over the
+    # deep end, then has at most gap covers.  Failing that, it cuts the
+    # highest edge below w under the same cap whose lower end heads two or
+    # more vertices, and without one it keeps the tree.  The first insert,
+    # into a bare random tree, always rewires.
     rng = random.Random(seed)
     idx = TwoEdgeIndex(n)
     for v in range(1, n):
@@ -425,18 +497,31 @@ def test_insert_kind_follows_the_gap_rule(seed, n):
         if du < dv:
             u, v, du, dv = v, u, dv, du
         gap = du - dv
-        w = u
+        stretch = [u]  # u up to w; e's cover adds one above each
         for _ in range((gap + 1) // 2 - 1):
-            w = f.parent[w]
-        rewire = gap >= 2 and f.rep[w] + 1 <= gap
-        pw = f.parent[w]
+            stretch.append(f.parent[stretch[-1]])
+        w = stretch.pop()
+        cut, rule = None, None
+        if gap >= 2:
+            if f.rep[w] + 1 <= gap:
+                cut, rule = w, "halfway_rewires"
+            else:
+                lower = [x for x in stretch
+                         if f.rep[x] + 1 <= gap and f.size[x] >= 2]
+                if lower:
+                    cut, rule = lower[-1], "fallback_rewires"
+        pc = f.parent[cut] if cut is not None else None
         before = list(f.parent)
+        counts = idx.counters()
         kinds.append(idx.insert2(u, v))
-        if rewire:
-            # e = (u, v) took the place of f = (w, pw)
+        after = idx.counters()
+        for k in ("halfway_rewires", "fallback_rewires"):
+            assert after[k] == counts[k] + (k == rule)
+        if cut is not None:
+            # e = (u, v) took the place of the tree edge (cut, pc)
             assert kinds[-1] == InsertKind.NONTREE_REWIRED
             assert f.parent[u] == v or f.parent[v] == u
-            assert f.parent[w] != pw and f.parent[pw] != w
+            assert f.parent[cut] != pc and f.parent[pc] != cut
         else:
             assert kinds[-1] == InsertKind.NONTREE_NOOP
             assert f.parent == before

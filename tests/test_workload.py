@@ -15,6 +15,7 @@ from dynconn.spanning_forest import InsertKind, SpanningForest
 from dynconn.two_edge import TwoEdgeForest, TwoEdgeIndex
 from dynconn.workload import (
     MODES,
+    EdgeStream,
     MetricsReport,
     build_index,
     load_edge_file,
@@ -25,6 +26,7 @@ from dynconn.workload import (
     run_random_cycle,
     run_sliding_window,
     time_queries,
+    WorkloadEvent,
 )
 
 
@@ -265,11 +267,26 @@ def test_window_rejects_decreasing_timestamps():
     # would stop early: in time order these rows evict two edges at 10%
     rows = ["2 3 100", "4 5 50", "0 1 0"]
     assert run_sliding_window(parse_edge_stream(rows[::-1]), 10).counts["delete"] == 2
-    with pytest.raises(ParseError, match=r"timestamps decrease at event 1 \(4 5 50, after 100\)"):
+    with pytest.raises(ParseError, match=r"^line 2: timestamps decrease \(4 5 50, after 100\)$"):
         run_sliding_window(parse_edge_stream(rows), 10)
     # equal timestamps are in order
     rep = run_sliding_window(parse_edge_stream(["0 1 5", "1 2 5", "2 3 5"]), 50)
     assert rep.counts == {"insert": 3, "delete": 0, "noop": 0}
+
+
+def test_window_names_the_source_line_of_a_decreasing_timestamp():
+    # comment lines and dropped self loops shift rows away from event ids
+    rows = ["# c", "2 3 100", "7 7 80", "4 5 50"]
+    with pytest.raises(ParseError) as err:
+        run_sliding_window(parse_edge_stream(rows), 10)
+    assert err.value.line_no == 4
+    assert str(err.value) == "line 4: timestamps decrease (4 5 50, after 100)"
+    # a stream built in memory has no lines, so its event index stands in
+    events = [WorkloadEvent(0, 1, 100), WorkloadEvent(2, 3, 50)]
+    with pytest.raises(ParseError) as err:
+        run_sliding_window(EdgeStream(events, 4, [0, 1, 2, 3], {}), 10)
+    assert err.value.line_no is None
+    assert str(err.value) == "timestamps decrease at event 1 (2 3 50, after 100)"
 
 
 @pytest.mark.parametrize("pct", [0, -5, 101, 2.5, "x", None])
