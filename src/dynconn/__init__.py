@@ -2,9 +2,9 @@
 
 Two paired structures per index: a spanning forest with parent
 pointers and subtree sizes (depth kept low by placement heuristics),
-and a disjoint-set forest with intrusive children lists so membership
-can change one vertex at a time.  Queries are near-constant-time set
-lookups; updates are local tree surgery.
+and a disjoint-set forest in which a vertex leaves its set by taking a
+fresh record, so membership can change one vertex at a time.  Queries
+are near-constant-time set lookups; updates are local tree surgery.
 """
 
 from .connectivity import ConnectivityIndex

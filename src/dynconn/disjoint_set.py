@@ -1,26 +1,30 @@
 """Disjoint sets that support deletion, re-rooting and O(1) queries.
 
 A classic union-find tree cannot remove a vertex from the middle of a
-tree, so every node here also keeps its children in an intrusive
-doubly-linked list.  That makes four extra moves possible, each O(1)
-amortized or better:
+tree.  Here a vertex leaves its set by taking a fresh record instead:
+its old record stays where it is as a ghost, so the children below it
+never move (Kaplan, Shafrir & Tarjan, "Union-find with deletions",
+SODA 2002).  That makes three extra moves possible, each O(1)
+amortized:
 
-* unlink: splice a node out of its parent's child list;
-* isolate: pull a non-root node out entirely, re-hanging its children
-  directly under the tree root;
+* isolate: pull a non-root vertex out into a singleton of its own;
 * split_off: carve a whole list of members out into a set of their own
-  under a root the caller already knows, with no find: each member is
-  isolated as above and all but the first hang under the first;
+  under a root the caller already knows, with no find: each member's
+  old record turns ghost, and every other member's fresh record hangs
+  directly under the new representative's;
 * reroot: swap which vertex owns the root record, so the set keeps its
   shape but answers a different representative.
 
 Records are parallel arrays indexed by handle.  Vertex u currently owns
-record slot[u] and record h belongs to vertex vid[h]; reroot swaps that
-ownership instead of moving any pointers.  Record h's child list runs
-between sentinel cells n + h and 2n + h of the same pre/next arrays.
+record slot[u] and record h belongs to vertex vid[h], or to no vertex
+when vid[h] == -1: a ghost, which is never a root.  reroot swaps that
+ownership instead of moving any pointers.  Once a split leaves more
+than 2n records, the forest is rebuilt flat on the n vertices' own
+records, every vertex hanging directly under its representative; each
+rebuild costs O(n) and follows at least n fresh records.
 
-Roots are self-parented.  Find compresses with full re-linking, but a
-node already hanging directly under the root is left where it is.
+Roots are self-parented.  Find points every record on its path at the
+root.
 """
 
 from __future__ import annotations
@@ -36,13 +40,6 @@ class DisjointSetForest:
         self._parent = list(range(n))
         self._slot = list(range(n))
         self._vid = list(range(n))
-        pre = [-1] * (3 * n)
-        nxt = [-1] * (3 * n)
-        for h in range(n):
-            nxt[n + h] = 2 * n + h
-            pre[2 * n + h] = n + h
-        self._pre = pre
-        self._nxt = nxt
         # instrumentation (cheap ints, read by the benchmarks); the
         # find_calls and find_visits properties add up the first four
         self._finds = 0
@@ -51,43 +48,7 @@ class DisjointSetForest:
         self._inline_roots = 0
         self.link_calls = 0
         self.isolate_calls = 0
-        self.isolate_child_moves = 0
-
-    # -- internal cell plumbing -----------------------------------------
-
-    def _push_child(self, h, hp):
-        """Insert record h at the head of record hp's child list."""
-        nxt = self._nxt
-        pre = self._pre
-        head = self._n + hp
-        first = nxt[head]
-        pre[h] = head
-        nxt[h] = first
-        nxt[head] = h
-        pre[first] = h
-
-    def _splice(self, h):
-        """Remove record h from whatever child list holds it."""
-        nxt = self._nxt
-        pre = self._pre
-        hp = pre[h]
-        hn = nxt[h]
-        nxt[hp] = hn
-        pre[hn] = hp
-        pre[h] = -1
-        nxt[h] = -1
-
-    def _relink_path(self, h, hr):
-        """Hang every record on the h..hr parent path directly under hr."""
-        parent = self._parent
-        x = h
-        while x != hr:
-            px = parent[x]
-            if px != hr:
-                self._splice(x)
-                self._push_child(x, hr)
-                parent[x] = hr
-            x = px
+        self.compactions = 0
 
     # -- queries ---------------------------------------------------------
 
@@ -119,8 +80,10 @@ class DisjointSetForest:
             r = pr
             pr = parent[r]
             k += 1
-        if p != r:
-            self._relink_path(h, r)
+        while p != r:
+            parent[h] = r
+            h = p
+            p = parent[h]
         self._finds += 1
         self._find_visits += k
         return self._vid[r]
@@ -175,7 +138,6 @@ class DisjointSetForest:
         if parent[hv] != hv:
             raise NotRoot(f"{v} is not a representative")
         parent[hu] = hv
-        self._push_child(hu, hv)
         self.link_calls += 1
 
     def unlink(self, u):
@@ -183,15 +145,14 @@ class DisjointSetForest:
         h = self._slot[u]
         if self._parent[h] == h:
             raise IsRoot(f"{u} is already a representative")
-        self._splice(h)
         self._parent[h] = h
 
     def isolate(self, u):
         """Turn non-root u into a fresh singleton, leaving its set intact.
 
-        u's children are re-hung directly under the set's root, which is
-        why u must not itself be the root.  Returns the representative of
-        the set u was pulled out of.
+        u's old record stays in the set as a ghost, which is why u must
+        not itself be the root.  Returns the representative of the set u
+        was pulled out of.
         """
         ru = self.find(u)
         if ru == u:
@@ -201,51 +162,63 @@ class DisjointSetForest:
 
     def split_off(self, small, members, root):
         """Carve `members` out of root's set into a set represented by
-        `small`, which comes first in `members`.
+        `small`, one of `members`.
 
         `root` must be the representative of the set every member is in,
-        and not a member itself.  Each member's record is spliced out and
-        its children move under root's record; then small becomes a root
-        and every other member hangs directly under it.  No find runs, so
-        the cost is one step per member and per moved child.  The shape
-        and the counters are those of isolating the members in turn, each
-        child going to root, and then linking each under small:
-        len(members) isolates and len(members) - 1 links.
+        and not a member itself; a refused call changes nothing.  Each
+        member's old record stays in root's tree as a ghost, so nothing
+        below it moves, and the member takes a fresh record: small's roots
+        the new set and every other member's hangs directly under it.  No
+        find runs, so the cost is O(1) per member, amortized over the
+        compactions.  The counters are those of isolating the members in
+        turn and then linking each under small: len(members) isolates and
+        len(members) - 1 links.
         """
-        n = self._n
         parent = self._parent
-        nxt = self._nxt
         slot = self._slot
+        vid = self._vid
         hr = slot[root]
         if parent[hr] != hr:
             raise NotRoot(f"{root} is not a representative")
-        hs = slot[small]
-        moves = 0
         for u in members:
             h = slot[u]
             if parent[h] == h:
                 raise IsRoot(f"cannot split off representative {u}")
-            self._splice(h)
-            tail = 2 * n + h
-            c = nxt[n + h]
-            while c != tail:
-                cn = nxt[c]
-                self._splice(c)
-                self._push_child(c, hr)
-                parent[c] = hr
-                moves += 1
-                c = cn
-            # small's own children have gone to root before any member
-            # joins its list, so that list ends up holding the members only
-            if h == hs:
-                parent[h] = h
-            else:
-                parent[h] = hs
-                self._push_child(h, hs)
+        for u in members:
+            vid[slot[u]] = -1
+            slot[u] = len(vid)
+            vid.append(u)
         k = len(members)
+        parent.extend([slot[small]] * k)
         self.isolate_calls += k
-        self.isolate_child_moves += moves
         self.link_calls += k - 1
+        if len(parent) > 2 * self._n:
+            self._compact()
+
+    def _compact(self):
+        """Rebuild the forest on the n vertices' own records, each hanging
+        directly under its representative's, and drop the ghosts.  Each
+        walk starts from a vertex's record and compresses what it walks,
+        so the rebuild is linear in the records."""
+        n = self._n
+        parent = self._parent
+        slot = self._slot
+        vid = self._vid
+        flat = []
+        for h in slot:
+            r = parent[h]
+            if parent[r] != r:
+                while parent[r] != r:
+                    r = parent[r]
+                while h != r:
+                    p = parent[h]
+                    parent[h] = r
+                    h = p
+            flat.append(vid[r])
+        self._parent = flat
+        self._slot = list(range(n))
+        self._vid = list(range(n))
+        self.compactions += 1
 
     def reroot(self, u):
         """Make u the representative of its set by swapping record owners."""
@@ -273,70 +246,38 @@ class DisjointSetForest:
             "find_visits": self.find_visits,
             "link_calls": self.link_calls,
             "isolate_calls": self.isolate_calls,
-            "isolate_child_moves": self.isolate_child_moves,
+            "compactions": self.compactions,
         }
 
     def root_vertices(self):
         parent = self._parent
         vid = self._vid
-        return [vid[h] for h in range(self._n) if parent[h] == h]
-
-    def children_of(self, u):
-        """Current child vertices of u's record, list order as stored."""
-        n = self._n
-        h = self._slot[u]
-        nxt = self._nxt
-        vid = self._vid
-        out = []
-        c = nxt[n + h]
-        while c != 2 * n + h:
-            out.append(vid[c])
-            c = nxt[c]
-        return out
+        return [vid[h] for h in range(len(parent)) if parent[h] == h]
 
     def check_integrity(self):
         """Full structural audit (test use only); raises InvariantError, so
         python -O keeps the checks."""
         n = self._n
-        parent, pre, nxt = self._parent, self._pre, self._nxt
-        slot, vid = self._slot, self._vid
-        if sorted(slot) != list(range(n)) or sorted(vid) != list(range(n)):
-            raise InvariantError("slot and vid are not permutations")
+        parent, slot, vid = self._parent, self._slot, self._vid
+        size = len(parent)
+        if len(vid) != size or len(slot) != n or not n <= size <= 2 * n:
+            raise InvariantError(f"{size} records and {len(vid)} owners for {n} vertices")
+        owned = [False] * size
         for u in range(n):
-            if vid[slot[u]] != u:
+            h = slot[u]
+            if not 0 <= h < size or vid[h] != u:
                 raise InvariantError(f"slot of vertex {u} does not map back")
-        listed = set()
-        for h in range(n):
-            if parent[h] == h and (pre[h] != -1 or nxt[h] != -1):
-                raise InvariantError(f"root record {h} sits in a children list")
-            head, tail = n + h, 2 * n + h
-            fwd = []
-            c = nxt[head]
-            while c != tail:
-                if not (parent[c] == h and pre[nxt[c]] == c and nxt[pre[c]] == c):
-                    raise InvariantError(f"children list of {h} is broken at {c}")
-                fwd.append(c)
-                if len(fwd) > n:
-                    raise InvariantError(f"children list of {h} loops")
-                c = nxt[c]
-            bwd = []
-            c = pre[tail]
-            while c != head:
-                bwd.append(c)
-                if len(bwd) > n:
-                    raise InvariantError(f"children list of {h} loops backwards")
-                c = pre[c]
-            if fwd != bwd[::-1]:
-                raise InvariantError(f"children list of {h} differs backwards")
-            listed.update(fwd)
-        nonroots = {h for h in range(n) if parent[h] != h}
-        if listed != nonroots:
-            raise InvariantError("children lists do not hold every non-root")
-        for h in range(n):
+            owned[h] = True
+        for h in range(size):
+            if not 0 <= parent[h] < size:
+                raise InvariantError(f"record {h} has parent {parent[h]}")
+            if not owned[h] and (vid[h] != -1 or parent[h] == h):
+                raise InvariantError(f"unowned record {h} is not a ghost below a root")
+        for h in range(size):
             hops = 0
             x = h
             while parent[x] != x:
                 x = parent[x]
                 hops += 1
-                if hops > n:
+                if hops > size:
                     raise InvariantError("parent cycle")

@@ -227,8 +227,7 @@ def test_split_isolates_count_matches_small_side():
 
 @pytest.mark.parametrize("small", [4, 6])
 def test_split_makes_one_set_find(small):
-    # a path of 14 cut after its first `small` vertices; the branches
-    # give the set forest children to move
+    # a path of 14, with three chords, cut after its first `small` vertices
     n = 14
     idx = ConnectivityIndex(n)
     for v in range(1, n):
