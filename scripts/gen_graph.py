@@ -7,6 +7,7 @@ Example:
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from dynconn.cli import _int_from
 from dynconn.workload import random_edge_stream
@@ -28,17 +29,17 @@ def main(argv=None):
         return int(exc.code or 0)
 
     stream = random_edge_stream(args.n, args.m, args.seed, args.timestamps)
-    out = open(args.output, "w") if args.output else sys.stdout
     try:
-        out.write(f"# random graph n={args.n} m={args.m} seed={args.seed}\n")
-        for ev in stream.events:
-            if ev.t is None:
-                out.write(f"{ev.u} {ev.v}\n")
-            else:
-                out.write(f"{ev.u} {ev.v} {ev.t}\n")
-    finally:
-        if args.output:
-            out.close()
+        with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
+            out.write(f"# random graph n={args.n} m={args.m} seed={args.seed}\n")
+            for ev in stream.events:
+                if ev.t is None:
+                    out.write(f"{ev.u} {ev.v}\n")
+                else:
+                    out.write(f"{ev.u} {ev.v} {ev.t}\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

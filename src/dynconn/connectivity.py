@@ -38,6 +38,8 @@ class ConnectivityIndex:
         self.splits = 0
         self.split_visited_total = 0
         self.probe_total = 0
+        # non-tree inserts that rewired the tree
+        self.rewires = 0
 
     def insert(self, u: int, v: int) -> InsertKind:
         if not self.graph.add_edge(u, v):
@@ -48,6 +50,8 @@ class ConnectivityIndex:
         f = self.forest
         if ru == rv:
             kind, root = f.insert_nontree(u, v)
+            if kind is InsertKind.NONTREE_REWIRED:
+                self.rewires += 1
             if root != ru:
                 ds.reroot(root)
             return kind
@@ -100,6 +104,7 @@ class ConnectivityIndex:
             "splits": self.splits,
             "split_visited_total": self.split_visited_total,
             "probe_total": self.probe_total,
+            "rewires": self.rewires,
             **self.dsets.counters(),
         }
 

@@ -200,22 +200,16 @@ class SpanningForest:
         if gap <= 1:
             return InsertKind.NONTREE_NOOP, root
         # move the deeper endpoint, keeping half the gap's worth of its
-        # ancestors with it, and hang the piece under the shallow end
-        w = self._rewire_cut(u, gap)
+        # ancestors with it, and hang the piece under the shallow end.  The
+        # cut lies strictly below the edge's meeting point, so it is on the
+        # edge's cycle
+        w = u
+        for _ in range((gap + 1) // 2 - 1):
+            w = self.parent[w]
         self.unlink(w)
         self.reroot(u)
         final = self.link(u, v, root)
         return InsertKind.NONTREE_REWIRED, final
-
-    def _rewire_cut(self, u, gap):
-        """Lower end of the tree edge that a depth-halving rewire cuts: the
-        ancestor (gap + 1) // 2 - 1 steps above u, u being gap >= 2 levels
-        below the other end of the non-tree edge.  It lies strictly below
-        the edge's meeting point, so the cut edge is on the edge's cycle."""
-        parent = self.parent
-        for _ in range((gap + 1) // 2 - 1):
-            u = parent[u]
-        return u
 
     def delete_edge(self, u, v):
         """Remove edge (u, v)'s role in the forest.

@@ -21,17 +21,17 @@ and loses K - 2c on f's, and e itself starts at K - 1.  Each side's c
 values come from one pass of marked upward walks.
 
 Inserts keep the forest shallow with the same swap.  A non-tree edge e
-whose ends lie gap >= 2 levels apart replaces the tree edge f that the
-plain forest's depth-halving rewire would cut, about half the gap above
-the deeper end, provided f then has at most gap covers, e's included.
-Failing that, e falls back to the highest edge between the deeper end
-and f that is under the same cap and heads two or more vertices: every
-such edge lies on e's cycle below its meeting point, and lifting a lone
-vertex saves one vertex's depth yet walks up from every cover.  The cut
-edge stays in the graph and counts as one more crossing edge, whose new
-path is e's old cycle minus that edge; as it covers that whole path,
-the swap changes no class.  The cap on covers bounds the upward walks a
-rewire pays for.
+whose ends lie gap >= 2 levels apart walks from its deeper end up to
+the tree edge that the plain forest's depth-halving rewire would cut,
+about half the gap above, and replaces the highest edge on that walk
+that has at most gap covers, e's included, and heads two or more
+vertices; with none, the tree stays.  Every edge of the walk lies on
+e's cycle below its meeting point.  The cap on covers bounds the upward
+walks a rewire pays for, and lifting a lone vertex would save one
+vertex's depth yet walk up from every cover.  The cut edge stays in the
+graph and counts as one more crossing edge, whose new path is e's old
+cycle minus that edge; as it covers that whole path, the swap changes
+no class.
 
 On top of the forest sits a second disjoint-set forest, one set per
 2-edge class with member counts.  A counter rising off zero merges two
@@ -227,9 +227,8 @@ class TwoEdgeIndex:
         self.splits = 0
         self.split_visited_total = 0
         self.probe_total = 0
-        # non-tree inserts that swapped themselves into the tree, by rule
-        self.halfway_rewires = 0
-        self.fallback_rewires = 0
+        # non-tree inserts that swapped themselves into the tree
+        self.rewires = 0
 
     def insert2(self, u: int, v: int) -> InsertKind:
         if not self.graph.add_edge(u, v):
@@ -273,8 +272,7 @@ class TwoEdgeIndex:
             "splits": self.splits,
             "split_visited_total": self.split_visited_total,
             "probe_total": self.probe_total,
-            "halfway_rewires": self.halfway_rewires,
-            "fallback_rewires": self.fallback_rewires,
+            "rewires": self.rewires,
             **self.csets.counters(),
         }
 
@@ -299,11 +297,10 @@ class TwoEdgeIndex:
     def _place(self, u, v):
         """Forest placement plus class merges on every 0 -> 1 counter.  A
         non-tree edge whose ends lie gap >= 2 levels apart then takes the
-        place of the tree edge f that SpanningForest's depth-halving rewire
-        would cut, when f has at most gap covers (see _rewire).  When f has
-        more, it takes the place of the highest edge between the deeper end
-        and f that has at most gap covers and heads two or more vertices;
-        with none, the tree stays."""
+        place of the highest tree edge between the deeper end and the
+        ancestor (gap + 1) // 2 - 1 steps above it that has at most gap
+        covers and heads two or more vertices (see _rewire); with none,
+        the tree stays."""
         f = self.forest
         ru, du = f._root_depth(u)
         rv, dv = f._root_depth(v)
@@ -319,28 +316,21 @@ class TwoEdgeIndex:
         gap = du - dv
         if gap < 2:
             return InsertKind.NONTREE_NOOP
-        w = f._rewire_cut(u, gap)
-        # the swap walks up from every cover of f, e's included; taking it
-        # only while they number at most the gap keeps its cost in line
-        # with the depth it saves
-        rep = f.rep
-        if rep[w] <= gap:
-            self.halfway_rewires += 1
-            self._rewire(u, v, w)
-            return InsertKind.NONTREE_REWIRED
-        # fallback below w: a lone vertex is never lifted, as that saves
-        # one vertex's depth yet still walks up from every cover
+        # the swap walks up from every cover of the cut edge, e's included;
+        # the cap keeps its cost in line with the depth it saves, and a lone
+        # vertex, whose lift saves one vertex's depth, is never cut out
         parent = f.parent
         size = f.size
+        rep = f.rep
         x = -1
         y = u
-        while y != w:
+        for _ in range((gap + 1) // 2):
             if rep[y] <= gap and size[y] >= 2:
                 x = y
             y = parent[y]
         if x < 0:
             return InsertKind.NONTREE_NOOP
-        self.fallback_rewires += 1
+        self.rewires += 1
         self._rewire(u, v, x)
         return InsertKind.NONTREE_REWIRED
 

@@ -64,8 +64,9 @@ C9_QUERIES = 1_000_000
 # 4x the 106-125 us measured after tree deletes became one swap, and about
 # a quarter of the 1.96-2.09 ms that withdrawing and re-placing every
 # crossing edge took.  With inserts rewiring through the halfway edge the
-# mean read 35-43 us, and with the fallback to a lower subtree 22-38 us
-# (2-vCPU VM, Python 3.11.7)
+# mean read 35-43 us, with the fallback to a lower subtree 22-38 us, and
+# with one rule that lifts only subtrees of two or more vertices 19-24 us
+# over 388 tree deletions (2-vCPU VM, Python 3.11.7)
 C10_N = 20_000
 C10_M = 100_000
 C10_SEED = 88
@@ -73,8 +74,9 @@ C10_K = 2_000
 C10_MAX_DELETE_US = 500.0
 # criterion 11 (same graph): 2ec forest depth against conn's.  The 2ec
 # forest read about 10x conn's before its inserts rewired, 3.2x when they
-# rewired through the halfway edge only, and 2.06x (10.79 against 5.25)
-# with the fallback to a lower subtree
+# rewired through the halfway edge only, 2.06x (10.79 against 5.25) with
+# the fallback to a lower subtree, and 2.06x (10.83) with one rule that
+# never lifts a lone vertex
 C11_MAX_DEPTH_RATIO = 2.5
 
 

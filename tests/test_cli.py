@@ -249,6 +249,15 @@ def test_gen_graph_bad_sizes_are_usage_errors(capsys, argv):
     assert "error:" in captured.err
 
 
+def test_gen_graph_unwritable_output_is_an_io_error(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.txt"
+    assert _gen_graph().main(["--n", "3", "--m", "1", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not out.parent.exists()
+
+
 def test_gen_graph_writes_the_seeded_edges(capsys):
     assert _gen_graph().main(["--n", "3", "--m", "3", "--seed", "1"]) == 0
     rows = capsys.readouterr().out.splitlines()

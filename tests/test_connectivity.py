@@ -3,14 +3,16 @@ from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from dynconn.connectivity import ConnectivityIndex
 from dynconn.disjoint_set import DisjointSetForest
 from dynconn.errors import DuplicateEdge, EdgeAbsent, OutOfRange, SelfLoop
 from dynconn.graph import DynamicGraph
-from dynconn.oracle import Partition, oracle_components, oracle_connected
+from dynconn.oracle import Partition, oracle_components, oracle_connected, oracle_rep
 from dynconn.spanning_forest import DeleteKind, InsertKind
 from dynconn.two_edge import TwoEdgeIndex
+from dynconn.workload import MODES, random_edge_stream
 
 
 def index_partition(idx):
@@ -246,3 +248,125 @@ def test_split_makes_one_set_find(small):
     assert roots_consistent(idx)
     assert index_partition(idx) == oracle_components(idx.graph)
     ds.check_integrity()
+
+
+# -- counters both indexes keep ------------------------------------------------
+
+
+def test_both_indexes_report_the_same_counters():
+    assert ConnectivityIndex(3).counters().keys() == TwoEdgeIndex(3).counters().keys()
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_rewires_counts_the_rewired_inserts(mode):
+    # a seeded build, then a seeded sample of its edges deleted and put back
+    stream = random_edge_stream(300, 1200, seed=5)
+    idx = MODES[mode][0](stream.n)
+    edges = [(e.u, e.v) for e in stream.events]
+    kinds = [idx.insert(*e) for e in edges]
+    back = random.Random(5).sample(edges, 400)
+    for e in back:
+        idx.delete(*e)
+    kinds += [idx.insert(*e) for e in back]
+    rewired = kinds.count(InsertKind.NONTREE_REWIRED)
+    assert rewired > 0
+    assert idx.counters()["rewires"] == rewired
+
+
+# -- state machines: each index against its mode's oracle ----------------------
+
+
+class IndexMachine(RuleBasedStateMachine):
+    """An index under valid ops, checked against its mode's oracle after
+    every step, with rejected ops mixed in: out of range, non-int, self
+    loop, duplicate and absent edges.  A rejected op must raise its
+    DynConnError and leave every array and counter as it was."""
+
+    mode = "conn"
+
+    @initialize(n=st.integers(2, 8))
+    def start(self, n):
+        self.n = n
+        make, self.oracle = MODES[self.mode]
+        self.idx = make(n)
+        self.edges = set()  # live edges as (u, v) with u < v
+
+    def absent(self):
+        n = self.n
+        return [(u, v) for u in range(n) for v in range(u + 1, n)
+                if (u, v) not in self.edges]
+
+    @precondition(lambda self: self.absent())
+    @rule(data=st.data(), flip=st.booleans())
+    def insert(self, data, flip):
+        e = data.draw(st.sampled_from(self.absent()))
+        u, v = e[::-1] if flip else e
+        joined = oracle_components(self.idx.graph).same_block(u, v)
+        kind = self.idx.insert(u, v)
+        self.edges.add(e)
+        assert (kind is InsertKind.TREE_EDGE) == (not joined)
+
+    @precondition(lambda self: self.edges)
+    @rule(data=st.data(), flip=st.booleans())
+    def delete(self, data, flip):
+        e = data.draw(st.sampled_from(sorted(self.edges)))
+        u, v = e[::-1] if flip else e
+        kind = self.idx.delete(u, v)
+        self.edges.remove(e)
+        split = not oracle_components(self.idx.graph).same_block(u, v)
+        assert (kind is DeleteKind.TREE_SPLIT) == split
+
+    @rule(a=st.integers(0, 7), b=st.integers(0, 7))
+    def query(self, a, b):
+        a, b = a % self.n, b % self.n
+        assert self.idx.query(a, b) == self.oracle(self.idx.graph).same_block(a, b)
+
+    @rule(data=st.data(), a=st.integers(0, 7), b=st.integers(0, 7),
+          junk=st.sampled_from([1.5, 2.0, "1", None]))
+    def rejected(self, data, a, b, junk):
+        n = self.n
+        a, b = a % n, b % n
+        cases = [(op, args, OutOfRange) for op in ("insert", "delete", "query")
+                 for args in ((a, n + b), (-1 - a, b), (junk, b), (a, junk))]
+        cases += [(op, (a, a), SelfLoop) for op in ("insert", "delete")]
+        if self.edges:
+            cases.append(("insert", data.draw(st.sampled_from(sorted(self.edges))),
+                          DuplicateEdge))
+        if self.absent():
+            cases.append(("delete", data.draw(st.sampled_from(self.absent())), EdgeAbsent))
+        op, args, err = data.draw(st.sampled_from(cases))
+        before = _arrays(self.idx)
+        with pytest.raises(err):
+            getattr(self.idx, op)(*args)
+        assert _arrays(self.idx) == before
+
+    @invariant()
+    def matches_oracle(self):
+        idx = self.idx
+        g = idx.graph
+        assert set(g.edges()) == self.edges
+        assert Partition(idx.partition()) == self.oracle(g)
+        idx.forest.check_integrity()
+        self.check_mode()
+
+    def check_mode(self):
+        self.idx.dsets.check_integrity()
+        self.idx._audit()
+
+
+class TwoEdgeIndexMachine(IndexMachine):
+    mode = "2ec"
+
+    def check_mode(self):
+        f = self.idx.forest
+        self.idx.csets.check_integrity()
+        stored = {(min(x, p), max(x, p)): f.rep[x]
+                  for x, p in enumerate(f.parent) if p != -1}
+        assert stored == oracle_rep(self.idx.graph, f.parent)
+
+
+_MACHINE_SETTINGS = settings(max_examples=60, stateful_step_count=40, deadline=None)
+TestIndexMachine = IndexMachine.TestCase
+TestIndexMachine.settings = _MACHINE_SETTINGS
+TestTwoEdgeIndexMachine = TwoEdgeIndexMachine.TestCase
+TestTwoEdgeIndexMachine.settings = _MACHINE_SETTINGS

@@ -356,29 +356,34 @@ def test_tree_deletes_never_walk_covers():
 _DEEP_7 = ((0, 1), (0, 2), (1, 3), (3, 4), (4, 5), (0, 6), (4, 7), (2, 7))
 
 
-def test_insert_rewires_when_the_cut_edge_has_few_covers():
+def test_insert_refuses_to_lift_a_lone_vertex():
     # root 1; 7 hangs at depth 3 under 4, 3 sits at depth 1.  (3, 7) has
-    # gap 2, so the rewire cuts f = (7, 4), which (2, 7) and (3, 7) cover:
-    # 2 <= gap, and (3, 7) takes f's place in the tree
+    # gap 2, so the only edge it may cut is f = (7, 4), which (2, 7) and
+    # (3, 7) cover: 2 <= gap, but 7 is a leaf, so the tree stays and only
+    # the covers on (3, 7)'s path change
     idx = _built(8, _DEEP_7)
     assert idx.forest.parent == [1, -1, 0, 1, 3, 4, 0, 4]
+    assert idx.forest.rep == [1, 0, 1, 1, 1, 0, 0, 1]
     classes = class_partition(idx)
-    assert idx.insert2(3, 7) == InsertKind.NONTREE_REWIRED
-    assert idx.forest.parent == [1, -1, 0, 1, 3, 4, 0, 3]
-    assert idx.forest.rep == [1, 0, 1, 1, 1, 0, 0, 2]
+    assert idx.insert2(3, 7) == InsertKind.NONTREE_NOOP
+    assert idx.forest.parent == [1, -1, 0, 1, 3, 4, 0, 4]
+    assert idx.forest.rep == [1, 0, 1, 1, 2, 0, 0, 2]
     assert class_partition(idx) == classes  # (2, 7) had merged 3 and 7
-    counts = idx.counters()
-    assert (counts["halfway_rewires"], counts["fallback_rewires"]) == (1, 0)
+    assert idx.counters()["rewires"] == 0
     check_index(idx)
 
 
 def test_insert_keeps_the_tree_when_the_cut_edge_has_more_covers_than_gap():
-    # (5, 7) adds a third cover to (7, 4): 3 > gap 2
-    idx = _built(8, _DEEP_7 + ((5, 7),))
+    # (7, 8) hangs 8 under 7, so 7 heads two vertices; the 9-vertex tree
+    # roots at 3, two levels above 7.  (5, 7) adds a third cover to
+    # (7, 4): 3 > gap 2
+    idx = _built(9, _DEEP_7 + ((7, 8), (5, 7)))
     parent = list(idx.forest.parent)
+    assert parent == [1, 3, 0, -1, 3, 4, 0, 4, 7]
     assert idx.insert2(3, 7) == InsertKind.NONTREE_NOOP
     assert idx.forest.parent == parent
-    assert idx.forest.rep == [1, 0, 1, 1, 2, 1, 0, 3]
+    assert idx.forest.rep == [1, 1, 1, 0, 2, 1, 0, 3, 0]
+    assert idx.counters()["rewires"] == 0
     check_index(idx)
 
 
@@ -420,10 +425,10 @@ def _hand_built(parent, nontree):
 
 def test_insert_falls_back_to_a_lower_subtree_when_halfway_is_over_the_cap():
     # the path 0-1-2-3-4-5-6 rooted at 0, with 7 under 3.  (5, 0) has gap
-    # 5, so the halfway rule cuts (3, 2), which five chords and e cover:
-    # 6 > 5.  Below it, (5, 4) and (4, 3) each have one cover and head two
-    # or more vertices; the higher one, (4, 3), is cut, and 4's subtree
-    # hangs from e, rerooted at 5
+    # 5, so the walk from 5 reaches the halfway edge (3, 2), which five
+    # chords and e cover: 6 > 5.  Below it, (5, 4) and (4, 3) each have one
+    # cover and head two or more vertices; the higher one, (4, 3), is cut,
+    # and 4's subtree hangs from e, rerooted at 5
     idx = _hand_built([-1, 0, 1, 2, 3, 4, 5, 3],
                       ((3, 0), (3, 1), (7, 0), (7, 1), (7, 2)))
     f = idx.forest
@@ -442,20 +447,20 @@ def test_insert_falls_back_to_a_lower_subtree_when_halfway_is_over_the_cap():
     assert seen == [class_partition(idx)]  # the swap changed no class
     assert class_partition(idx) == Partition([0, 0, 0, 0, 0, 0, 6, 0])
     counts = idx.counters()
-    assert (counts["halfway_rewires"], counts["fallback_rewires"]) == (0, 1)
+    assert counts["rewires"] == 1
     check_index(idx)
 
 
 def test_insert_refuses_the_fallback_for_a_lone_vertex():
-    # the path 0-1-2-3 with 4 under 2.  (3, 0) has gap 3, so the halfway
-    # rule cuts (2, 1), which three chords and e cover: 4 > 3.  Below it
-    # only (3, 2) is left, under the cap but above a lone vertex
+    # the path 0-1-2-3 with 4 under 2.  (3, 0) has gap 3, so the walk from
+    # 3 reaches the halfway edge (2, 1), which three chords and e cover:
+    # 4 > 3.  Below it only (3, 2) is left, under the cap but above a lone
+    # vertex
     idx = _hand_built([-1, 0, 1, 2, 2], ((2, 0), (4, 1), (4, 0)))
     f = idx.forest
     assert idx.insert2(3, 0) == InsertKind.NONTREE_NOOP
     assert (f.parent, f.rep) == ([-1, 0, 1, 2, 2], [0, 3, 4, 1, 2])
-    counts = idx.counters()
-    assert (counts["halfway_rewires"], counts["fallback_rewires"]) == (0, 0)
+    assert idx.counters()["rewires"] == 0
     check_index(idx)
 
 
@@ -470,12 +475,12 @@ def test_shift_covers_skips_an_empty_side():
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10_000), st.integers(4, 14))
 def test_insert_kind_follows_the_gap_rule(seed, n):
-    # a non-tree insert whose ends lie gap >= 2 levels apart rewires when
-    # the tree edge above w, the ancestor (gap + 1) // 2 - 1 steps over the
-    # deep end, then has at most gap covers.  Failing that, it cuts the
-    # highest edge below w under the same cap whose lower end heads two or
-    # more vertices, and without one it keeps the tree.  The first insert,
-    # into a bare random tree, always rewires.
+    # a non-tree insert whose ends lie gap >= 2 levels apart cuts the
+    # highest tree edge from the deep end up to w, the ancestor
+    # (gap + 1) // 2 - 1 steps above it, that then has at most gap covers
+    # and heads two or more vertices; without one it keeps the tree.  The
+    # first insert, into a bare random tree from its deepest vertex to the
+    # root, rewires at gap 3 or more and is refused at gap 2 above a leaf.
     rng = random.Random(seed)
     idx = TwoEdgeIndex(n)
     for v in range(1, n):
@@ -486,7 +491,8 @@ def test_insert_kind_follows_the_gap_rule(seed, n):
         return len(_ancestors(f.parent, x)) - 1
 
     deep = max(range(n), key=depth)
-    assume(depth(deep) >= 2)
+    first_gap = depth(deep)
+    assume(first_gap >= 2)
     root = f.roots()[0]
     pairs = [(deep, root)] + _edges_for(n, seed, n * (n - 1) // 2)
     kinds = []
@@ -498,25 +504,17 @@ def test_insert_kind_follows_the_gap_rule(seed, n):
             u, v, du, dv = v, u, dv, du
         gap = du - dv
         stretch = [u]  # u up to w; e's cover adds one above each
-        for _ in range((gap + 1) // 2 - 1):
+        while len(stretch) < (gap + 1) // 2:
             stretch.append(f.parent[stretch[-1]])
-        w = stretch.pop()
-        cut, rule = None, None
+        cut = None
         if gap >= 2:
-            if f.rep[w] + 1 <= gap:
-                cut, rule = w, "halfway_rewires"
-            else:
-                lower = [x for x in stretch
-                         if f.rep[x] + 1 <= gap and f.size[x] >= 2]
-                if lower:
-                    cut, rule = lower[-1], "fallback_rewires"
+            fits = [x for x in stretch if f.rep[x] + 1 <= gap and f.size[x] >= 2]
+            cut = fits[-1] if fits else None
         pc = f.parent[cut] if cut is not None else None
         before = list(f.parent)
-        counts = idx.counters()
+        rewires = idx.counters()["rewires"]
         kinds.append(idx.insert2(u, v))
-        after = idx.counters()
-        for k in ("halfway_rewires", "fallback_rewires"):
-            assert after[k] == counts[k] + (k == rule)
+        assert idx.counters()["rewires"] == rewires + (cut is not None)
         if cut is not None:
             # e = (u, v) took the place of the tree edge (cut, pc)
             assert kinds[-1] == InsertKind.NONTREE_REWIRED
@@ -526,7 +524,8 @@ def test_insert_kind_follows_the_gap_rule(seed, n):
             assert kinds[-1] == InsertKind.NONTREE_NOOP
             assert f.parent == before
         check_index(idx)
-    assert kinds[0] == InsertKind.NONTREE_REWIRED
+    assert kinds[0] == (InsertKind.NONTREE_REWIRED if first_gap >= 3
+                        else InsertKind.NONTREE_NOOP)
 
 
 def _withdraw_and_replace(idx, u, v):

@@ -387,20 +387,24 @@ def test_fuzz_counts_a_raising_op_and_stops(monkeypatch):
     assert out.checks == 0  # stopped before the first check at op 99
 
 
-@pytest.mark.parametrize("n", [4, 8, 16, 30, 80])
+@pytest.mark.parametrize("n", [4, 6, 8, 16, 30, 80])
 def test_two_ec_fuzz_takes_the_rewire_path(monkeypatch, n):
+    # every rewire lifts a subtree of two or more vertices.  At n = 4 no
+    # run rewires: a tree that shallow leaves a leaf at the deep end of
+    # every gap, so n = 4 is a clean run and rewires are required from 6 up
     rewires = []
     real = TwoEdgeIndex._rewire
 
-    def counted(self, *args):
-        rewires.append(args)
-        return real(self, *args)
+    def checked(self, u, v, w):
+        assert self.forest.size[w] >= 2, (u, v, w)
+        rewires.append((u, v, w))
+        return real(self, u, v, w)
 
-    monkeypatch.setattr(TwoEdgeIndex, "_rewire", counted)
+    monkeypatch.setattr(TwoEdgeIndex, "_rewire", checked)
     for seed in range(3):
         out = run_fuzz("2ec", n=n, ops=3000, seed=seed, check_every=3)
         assert out.ok, out.violations
-    assert rewires
+    assert bool(rewires) == (n >= 6)
 
 
 # -- the fuzzer catches wrong answers ------------------------------------------
