@@ -19,6 +19,7 @@ from .errors import (
     IsRoot,
     KTooLarge,
     MissingTimestamps,
+    NotMember,
     NotRoot,
     OutOfRange,
     ParseError,
@@ -74,6 +75,7 @@ __all__ = [
     "AlreadyRoot",
     "IsRoot",
     "NotRoot",
+    "NotMember",
     "HasReplacements",
     "RepUnderflow",
     "InvariantError",

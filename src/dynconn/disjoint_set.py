@@ -21,7 +21,10 @@ when vid[h] == -1: a ghost, which is never a root.  reroot swaps that
 ownership instead of moving any pointers.  Once a split leaves more
 than 2n records, the forest is rebuilt flat on the n vertices' own
 records, every vertex hanging directly under its representative; each
-rebuild costs O(n) and follows at least n fresh records.
+rebuild costs O(n) and follows at least n fresh records.  A fresh
+forest and each rebuild fill the three lists from one table of id
+objects, so an id in [0, n) is held once, not once per list (at
+n = 100k, three range() lists would hold 6.4 MB of duplicate ints).
 
 Roots are self-parented.  Find points every record on its path at the
 root.
@@ -29,7 +32,7 @@ root.
 
 from __future__ import annotations
 
-from .errors import InvariantError, IsRoot, NotRoot, OutOfRange
+from .errors import InvariantError, IsRoot, NotMember, NotRoot, OutOfRange
 
 
 class DisjointSetForest:
@@ -37,9 +40,10 @@ class DisjointSetForest:
         if not isinstance(n, int) or n < 0:
             raise OutOfRange(f"set count {n!r} is not an int of at least 0")
         self._n = n
-        self._parent = list(range(n))
-        self._slot = list(range(n))
-        self._vid = list(range(n))
+        ids = list(range(n))
+        self._parent = ids
+        self._slot = ids.copy()
+        self._vid = ids.copy()
         # instrumentation (cheap ints, read by the benchmarks); the
         # find_calls and find_visits properties add up the first four
         self._finds = 0
@@ -164,8 +168,9 @@ class DisjointSetForest:
         """Carve `members` out of root's set into a set represented by
         `small`, one of `members`.
 
-        `root` must be the representative of the set every member is in,
-        and not a member itself; a refused call changes nothing.  Each
+        `members` must be distinct and must hold `small`, and `root` must
+        be the representative of the set every member is in, and not a
+        member itself; a refused call changes nothing.  Each
         member's old record stays in root's tree as a ghost, so nothing
         below it moves, and the member takes a fresh record: small's roots
         the new set and every other member's hangs directly under it.  No
@@ -177,6 +182,8 @@ class DisjointSetForest:
         parent = self._parent
         slot = self._slot
         vid = self._vid
+        if small not in members:  # an empty list included
+            raise NotMember(f"{small} is not among the members split off")
         hr = slot[root]
         if parent[hr] != hr:
             raise NotRoot(f"{root} is not a representative")
@@ -200,7 +207,7 @@ class DisjointSetForest:
         directly under its representative's, and drop the ghosts.  Each
         walk starts from a vertex's record and compresses what it walks,
         so the rebuild is linear in the records."""
-        n = self._n
+        ids = list(range(self._n))
         parent = self._parent
         slot = self._slot
         vid = self._vid
@@ -214,10 +221,10 @@ class DisjointSetForest:
                     p = parent[h]
                     parent[h] = r
                     h = p
-            flat.append(vid[r])
+            flat.append(ids[vid[r]])
         self._parent = flat
-        self._slot = list(range(n))
-        self._vid = list(range(n))
+        self._slot = ids
+        self._vid = ids.copy()
         self.compactions += 1
 
     def reroot(self, u):

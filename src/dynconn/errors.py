@@ -33,6 +33,11 @@ class NotRoot(DynConnError):
     """Both arguments of a raw disjoint-set link must be roots."""
 
 
+class NotMember(DynConnError):
+    """A split's new representative is not among the vertices it carves
+    out."""
+
+
 class HasReplacements(DynConnError):
     """Tree edge still has crossing non-tree edges; it is not a bridge."""
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from operator import attrgetter
 
 import pytest
@@ -273,6 +274,22 @@ def test_rewires_counts_the_rewired_inserts(mode):
     assert idx.counters()["rewires"] == rewired
 
 
+@pytest.mark.parametrize("make", [ConnectivityIndex, TwoEdgeIndex])
+def test_empty_index_footprint_per_vertex(make):
+    # tracemalloc counts the interpreter's own allocations, so the bound
+    # does not depend on the host.  CPython 3.11 reads 88 (conn) and 112
+    # (2ec) bytes; an empty set per vertex would add 216.
+    n = 100_000
+    tracemalloc.start()
+    try:
+        idx = make(n)
+        allocated, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert idx.graph.n == n
+    assert allocated / n <= 160
+
+
 # -- state machines: each index against its mode's oracle ----------------------
 
 
@@ -346,6 +363,7 @@ class IndexMachine(RuleBasedStateMachine):
         g = idx.graph
         assert set(g.edges()) == self.edges
         assert Partition(idx.partition()) == self.oracle(g)
+        g.check_integrity()
         idx.forest.check_integrity()
         self.check_mode()
 

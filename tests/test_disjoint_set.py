@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from dynconn.disjoint_set import DisjointSetForest
-from dynconn.errors import IsRoot, NotRoot
+from dynconn.errors import IsRoot, NotMember, NotRoot
 from dynconn.two_edge import SizedDisjointSet
 
 
@@ -249,8 +249,53 @@ def test_refused_split_off_changes_nothing(make):
         ds.split_off(1, [1, 0], 0)  # the root is a member, after 1
     with pytest.raises(NotRoot):
         ds.split_off(1, [1, 2], 3)
+    with pytest.raises(NotMember):
+        ds.split_off(0, [], 0)  # no members at all
+    with pytest.raises(NotMember):
+        ds.split_off(2, [1], 0)  # small is not a member
     assert vars(ds) == before
     assert [ds.peek_root(v) for v in range(4)] == [0, 0, 0, 0]
+    ds.check_integrity()
+
+
+def _one_id_table(ds):
+    """Every id the three record lists hold is one int object."""
+    seen = {}
+    for table in (ds._parent, ds._slot, ds._vid):
+        for x in table:
+            if seen.setdefault(x, x) is not x:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("make", [DisjointSetForest, SizedDisjointSet])
+def test_record_lists_share_one_id_table(make):
+    n = 600  # ids past the interpreter's small-int cache
+    ds = make(n)
+    parent, slot, vid = ds._parent, ds._slot, ds._vid
+    assert parent is not slot and slot is not vid and vid is not parent
+    assert all(parent[i] is slot[i] is vid[i] for i in range(n))
+    assert _one_id_table(ds)
+    ds._compact()
+    assert all(ds._parent[i] is ds._slot[i] is ds._vid[i] for i in range(n))
+    assert _one_id_table(ds)
+
+    # ghosts and rerooted sets: the rebuilt lists still share one table
+    rng = random.Random(5)
+    for v in range(1, n):
+        if isinstance(ds, SizedDisjointSet):
+            ds.union(v, rng.randrange(v))
+        else:
+            ds.link(ds.find(v), ds.find(rng.randrange(v)))
+    for v in rng.sample(range(n), 200):
+        if ds.find(v) != v:
+            ds.isolate(int(str(v)))  # an equal id that is another object
+    ds.reroot(n - 1)
+    before = [ds.peek_root(v) for v in range(n)]
+    ds._compact()
+    assert ds._parent is not ds._slot and ds._slot is not ds._vid
+    assert ds._slot == ds._vid == list(range(n)) and _one_id_table(ds)
+    assert [ds.peek_root(v) for v in range(n)] == before
     ds.check_integrity()
 
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from dynconn.errors import OutOfRange, SelfLoop
+from dynconn.errors import InvariantError, OutOfRange, SelfLoop
 from dynconn.graph import DynamicGraph
 
 
@@ -58,4 +58,60 @@ def test_symmetry_invariant(pairs):
         for x in range(10):
             for y in g.adj[x]:
                 assert x in g.adj[y]
+        g.check_integrity()
     assert g.m == sum(len(a) for a in g.adj) // 2
+
+
+def _shared(g):
+    """Vertices still reading the one shared empty adjacency."""
+    empty = DynamicGraph(1).adj[0]
+    return [x for x, a in enumerate(g.adj) if a is empty]
+
+
+def test_vertices_share_one_empty_adjacency_until_their_first_edge():
+    g = DynamicGraph(5)
+    assert all(a is g.adj[0] for a in g.adj) and g.adj[0] == set()
+    assert isinstance(g.adj[0], frozenset)
+    g.check_integrity()
+    assert g.remove_edge(0, 1) is False  # absent
+    for args, err in [((2, 2), SelfLoop), ((0, 5), OutOfRange), ((-1, 3), OutOfRange),
+                      ((1.5, 3), OutOfRange), ((None, 3), OutOfRange),
+                      ((3, "4"), OutOfRange)]:
+        for op in (g.add_edge, g.remove_edge):
+            with pytest.raises(err):
+                op(*args)
+    assert _shared(g) == [0, 1, 2, 3, 4] and not g.adj[0]
+    assert g.m == 0 and list(g.edges()) == []
+
+    assert g.add_edge(3, 1) is True
+    assert _shared(g) == [0, 2, 4]
+    assert type(g.adj[1]) is set and type(g.adj[3]) is set and g.adj[1] is not g.adj[3]
+    assert g.adj == [set(), {3}, set(), {1}, set()] and not g.adj[0]
+    assert g.has_edge(1, 3) and not g.has_edge(0, 1) and list(g.edges()) == [(1, 3)]
+    assert g.m == 1
+    g.check_integrity()
+
+    own = g.adj[1], g.adj[3]
+    assert g.remove_edge(1, 3) is True
+    # an emptied vertex keeps its own set
+    assert g.adj[1] is own[0] and g.adj[3] is own[1] and own == (set(), set())
+    assert _shared(g) == [0, 2, 4] and not g.adj[0]
+    assert g.m == 0 and list(g.edges()) == [] and not g.has_edge(1, 3)
+    g.check_integrity()
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (lambda g: g.adj[0].discard(1), "listed at 1 only"),
+    (lambda g: g.adj[2].add(2), "lists itself"),
+    (lambda g: setattr(g, "m", 3), "m is 3"),
+    (lambda g: g.adj.__setitem__(3, frozenset({0})), "frozenset adjacency"),
+    (lambda g: g.adj[0].add(7), "listed at 0 only"),
+], ids=["one-sided", "self-loop", "edge-count", "foreign-frozenset", "out-of-range"])
+def test_check_integrity_names_the_fault(corrupt, match):
+    g = DynamicGraph(4)
+    g.add_edge(0, 1)
+    g.add_edge(1, 2)
+    g.check_integrity()
+    corrupt(g)
+    with pytest.raises(InvariantError, match=match):
+        g.check_integrity()
