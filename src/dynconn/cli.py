@@ -108,7 +108,8 @@ def _cmd_build(ns):
     idx, dup = build_index(stream, ns.mode)
     wall = time.perf_counter() - t0
     stats = idx.stats()
-    rep = MetricsReport(avg_depth_id=stats.pop("avg_depth"))
+    depth = stats.pop("avg_depth")
+    rep = MetricsReport()
     rep.extras["vertices"] = stream.n
     rep.extras["edges"] = idx.graph.m
     rep.extras["events"] = len(stream.events)
@@ -117,6 +118,7 @@ def _cmd_build(ns):
     # vertices and edges keep their slots; the relation's counts follow
     rep.extras.update(stats)
     rep.extras["build_seconds"] = wall
+    rep.extras["avg_depth_id"] = depth
     return rep, 0
 
 
@@ -148,7 +150,7 @@ def _cmd_fuzz(ns):
     rep.extras["fuzz_violations"] = out.violation_count
     rep.extras["fuzz_seconds"] = out.elapsed_s
     if out.find_calls:
-        rep.avg_finds_len = out.find_visits / out.find_calls
+        rep.extras["avg_finds_len"] = out.find_visits / out.find_calls
     for msg in out.violations:
         print(f"violation: {msg}", file=sys.stderr)
     return rep, (0 if out.ok else 3)

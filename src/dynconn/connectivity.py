@@ -58,7 +58,6 @@ class ConnectivityIndex:
         size = f.size
         if size[ru] > size[rv]:
             u, v, ru, rv = v, u, rv, ru
-        f.reroot(u)
         ds.link(ru, rv)
         root = f.link(u, v, rv)
         if root != rv:

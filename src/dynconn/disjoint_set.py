@@ -37,7 +37,7 @@ from .errors import InvariantError, IsRoot, NotMember, NotRoot, OutOfRange
 
 class DisjointSetForest:
     def __init__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise OutOfRange(f"set count {n!r} is not an int of at least 0")
         self._n = n
         ids = list(range(n))

@@ -24,7 +24,7 @@ class DynamicGraph:
     __slots__ = ("n", "m", "adj")
 
     def __init__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise OutOfRange(f"vertex count {n!r} is not an int of at least 0")
         self.n = n
         self.m = 0
@@ -32,17 +32,14 @@ class DynamicGraph:
 
     def _pair(self, u: int, v: int):
         """Adjacency sets of u and v.  Bad ids raise before anything
-        changes: OutOfRange unless both are ints in [0, n), SelfLoop if
-        they are equal."""
+        changes: OutOfRange unless both are ints in [0, n) (a bool is
+        not, though it indexes like one), SelfLoop if they are equal."""
         n = self.n
-        try:
-            if 0 <= u < n and 0 <= v < n:
-                pair = self.adj[u], self.adj[v]
-                if u != v:
-                    return pair
-                raise SelfLoop(f"self loop at {u}")
-        except TypeError:  # a non-int id fails its comparison or its lookup
-            pass
+        if type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n:
+            pair = self.adj[u], self.adj[v]
+            if u != v:
+                return pair
+            raise SelfLoop(f"self loop at {u}")
         raise OutOfRange(f"edge ({u}, {v}) outside [0, {n})")
 
     def add_edge(self, u: int, v: int) -> bool:

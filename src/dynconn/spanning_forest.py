@@ -157,12 +157,14 @@ class SpanningForest:
                 return last
 
     def link(self, u, v, root_v):
-        """Attach root u under v (tree of root_v); returns the final root.
+        """Attach u's tree under v (tree of root_v), rerooted at u first;
+        returns the final root.
 
         Subtree sizes are bumped along v's root path.  The first vertex
         whose updated size exceeds half of the merged total is pulled up
         to be the new root; if that is root_v itself nothing rotates.
         """
+        self.reroot(u)
         parent = self.parent
         size = self.size
         parent[u] = v
@@ -190,15 +192,11 @@ class SpanningForest:
         rv, dv = self.find_root(v)
         if ru != rv:
             raise ValueError("endpoints are in different trees")
-        return self._place_nontree(u, du, v, dv, ru)
-
-    def _place_nontree(self, u, du, v, dv, root):
-        if du < dv:
-            u, v = v, u
-            du, dv = dv, du
         gap = du - dv
+        if gap < 0:
+            u, v, gap = v, u, -gap
         if gap <= 1:
-            return InsertKind.NONTREE_NOOP, root
+            return InsertKind.NONTREE_NOOP, ru
         # move the deeper endpoint, keeping half the gap's worth of its
         # ancestors with it, and hang the piece under the shallow end.  The
         # cut lies strictly below the edge's meeting point, so it is on the
@@ -207,9 +205,7 @@ class SpanningForest:
         for _ in range((gap + 1) // 2 - 1):
             w = self.parent[w]
         self.unlink(w)
-        self.reroot(u)
-        final = self.link(u, v, root)
-        return InsertKind.NONTREE_REWIRED, final
+        return InsertKind.NONTREE_REWIRED, self.link(u, v, ru)
 
     def delete_edge(self, u, v):
         """Remove edge (u, v)'s role in the forest.
@@ -257,7 +253,6 @@ class SpanningForest:
                     visited.append(w)
                     w = parent[w]
                 if w == -1:  # walked off the big half's root: y replaces
-                    self.reroot(x)
                     final = self.link(x, y, root_v)
                     return DeletionOutcome(
                         DeleteKind.TREE_REPLACED, u, final, visited, probes

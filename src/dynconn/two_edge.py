@@ -75,8 +75,9 @@ class TwoEdgeForest(SpanningForest):
         return path
 
     def link(self, u, v, root_v):
+        root = super().link(u, v, root_v)
         self.rep[u] = 0  # a fresh tree edge is not covered by anything
-        return super().link(u, v, root_v)
+        return root
 
     def cut_bridge(self, u, v):
         """Remove tree edge (u, v), v being u's parent.  Only bridges
@@ -307,7 +308,6 @@ class TwoEdgeIndex:
         if ru != rv:
             if f.size[ru] > f.size[rv]:
                 u, v, ru, rv = v, u, rv, ru
-            f.reroot(u)
             f.link(u, v, rv)
             return InsertKind.TREE_EDGE
         self._cover(u, v)
@@ -461,13 +461,9 @@ class TwoEdgeIndex:
         zeros = (self._shift_covers(x, child, crossing, 0, k)
                  + self._shift_covers(y, p, crossing, 1, k))
         if f.size[child] == f.size[big_root] and y < x:
-            f.reroot(y)
-            f.link(y, x, child)
-            rep[y] = k - 1
-        else:
-            f.reroot(x)
-            f.link(x, y, big_root)
-            rep[x] = k - 1
+            x, y, big_root = y, x, child
+        f.link(x, y, big_root)
+        rep[x] = k - 1
         return zeros
 
     def _shift_covers(self, s, t, crossing, side, k):

@@ -10,7 +10,8 @@ CSV layout, in order: a `metric,value` section (graph shape first, then
 the structure statistics, then event counts, then mean timings), and,
 when the run produced per-window data, a second section headed
 `window_pct,op,mean_ns,count` with one row per window and operation
-kind.
+kind.  A window's rows are named with `_w{pct}` appended, so the
+reports of several windows merge without overwriting one another.
 
 All randomness flows through `random.Random(seed)` (the stdlib Mersenne
 Twister), which is stable across platforms and Python versions, so any
@@ -147,25 +148,16 @@ def random_edge_stream(n, m, seed=0, timestamps=False):
 
 @dataclass
 class MetricsReport:
-    """Flat run statistics; every mean is absent (None) until sampled."""
+    """Flat run statistics: named rows, event counts, mean timings."""
 
-    avg_depth_id: float | None = None
-    avg_S: float | None = None
-    avg_search: float | None = None
-    avg_finds_len: float | None = None
     extras: dict = field(default_factory=dict)
     counts: dict = field(default_factory=dict)
     timings_ns: dict = field(default_factory=dict)  # phase -> (mean_ns, count)
     window_rows: list = field(default_factory=list)  # (pct, op, mean_ns, count)
 
-    _STATS = ("avg_depth_id", "avg_S", "avg_search", "avg_finds_len")
-
     def merge(self, other):
-        """Fold another report in; scalar stats prefer the newcomer."""
-        for name in self._STATS:
-            val = getattr(other, name)
-            if val is not None:
-                setattr(self, name, val)
+        """Fold another report in; counts add up, rows of the same name
+        prefer the newcomer."""
         self.extras.update(other.extras)
         for k, v in other.counts.items():
             self.counts[k] = self.counts.get(k, 0) + v
@@ -177,10 +169,6 @@ class MetricsReport:
         fh.write("metric,value\n")
         for k, v in self.extras.items():
             fh.write(f"{k},{_fmt(v)}\n")
-        for name in self._STATS:
-            val = getattr(self, name)
-            if val is not None:
-                fh.write(f"{name},{_fmt(val)}\n")
         for k, v in self.counts.items():
             fh.write(f"count_{k},{v}\n")
         for k, (mean, _cnt) in self.timings_ns.items():
@@ -206,14 +194,17 @@ MODES = {
 
 
 def new_index(n, mode="conn"):
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    return MODES[mode][0](n)
+    try:
+        cls = MODES[mode][0]
+    except (KeyError, TypeError):  # TypeError: an unhashable mode
+        raise OutOfRange(f"unknown mode {mode!r}, expected one of "
+                         f"{', '.join(MODES)}") from None
+    return cls(n)
 
 
 def _check_count(name, x, lo):
-    """OutOfRange unless x is an int of at least lo."""
-    if not isinstance(x, int) or x < lo:
+    """OutOfRange unless x is an int, not a bool, of at least lo."""
+    if type(x) is not int or x < lo:
         raise OutOfRange(f"{name} must be an int of at least {lo}, got {x!r}")
 
 
@@ -235,18 +226,17 @@ def build_index(stream, mode="conn"):
     return idx, dup
 
 
-def _apply_structure_stats(report, idx, before):
-    """Depth plus per-phase means derived from counter deltas; a mean
-    with no samples stays absent."""
-    report.avg_depth_id = idx.forest.average_depth()
-    now = idx.counters()
-    d = {k: v - before[k] for k, v in now.items()}
-    if d["splits"]:
-        report.avg_S = d["split_visited_total"] / d["splits"]
-    if d["tree_deletes"]:
-        report.avg_search = d["probe_total"] / d["tree_deletes"]
-    if d["find_calls"]:
-        report.avg_finds_len = d["find_visits"] / d["find_calls"]
+def _apply_structure_stats(report, idx, before, tag=""):
+    """Depth plus per-phase means derived from counter deltas, as rows
+    named with `tag` appended; a mean with no samples is left out."""
+    rows = report.extras
+    rows["avg_depth_id" + tag] = idx.forest.average_depth()
+    d = {k: v - before[k] for k, v in idx.counters().items()}
+    for name, total, samples in (("avg_S", "split_visited_total", "splits"),
+                                 ("avg_search", "probe_total", "tree_deletes"),
+                                 ("avg_finds_len", "find_visits", "find_calls")):
+        if d[samples]:
+            rows[name + tag] = d[total] / d[samples]
 
 
 def time_queries(idx, count, seed=0):
@@ -323,7 +313,7 @@ def run_sliding_window(stream, pct, mode="conn", queries=0, seed=0):
     the final window.  Timestamps must not decrease along the stream, or
     the window's front would not be its oldest edge.
     """
-    if not isinstance(pct, int) or not 0 < pct <= 100:
+    if type(pct) is not int or not 0 < pct <= 100:
         raise OutOfRange(f"pct must be an int in (0, 100], got {pct!r}")
     events = stream.events
     labels = stream.labels
@@ -373,7 +363,7 @@ def run_sliding_window(stream, pct, mode="conn", queries=0, seed=0):
         report.counts["query"] = queries
         rows.append((pct, "query", time_queries(idx, queries, seed), queries))
     report.window_rows = rows
-    _apply_structure_stats(report, idx, snap)
+    _apply_structure_stats(report, idx, snap, f"_w{pct}")
     return report
 
 

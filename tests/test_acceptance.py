@@ -160,16 +160,18 @@ def test_criterion_4_find_walk_length(conn_fuzz):
 def test_criterion_5_split_cost_statistics(fo_index):
     idx, _ = fo_index
     rep = run_random_cycle(idx, C5_K, seed=C5_SEED)
-    avg_s = rep.avg_S
+    avg_s = rep.extras.get("avg_S")
+    avg_search = rep.extras.get("avg_search")
     s_ok = avg_s is None or avg_s <= C5_MAX_AVG_S
-    search_ok = rep.avg_search is not None and rep.avg_search <= C5_MAX_AVG_SEARCH
+    search_ok = avg_search is not None and avg_search <= C5_MAX_AVG_SEARCH
     # the window half: each window size must split, within the size bound;
     # its search cost is printed without a bound
     stream = random_edge_stream(FO_N, FO_M, seed=FO_SEED, timestamps=True)
     windows = []
     for pct in C5_WINDOW_PCTS:
         w = run_sliding_window(stream, pct, mode="conn")
-        windows.append((pct, w.avg_S, w.avg_search))
+        windows.append((pct, w.extras.get(f"avg_S_w{pct}"),
+                        w.extras.get(f"avg_search_w{pct}")))
     window_ok = all(a is not None and a <= C5_MAX_AVG_S for _, a, _ in windows)
     ok = s_ok and search_ok and window_ok
     s_text = "no splits sampled" if avg_s is None else f"{avg_s:.3f}"
@@ -182,7 +184,7 @@ def test_criterion_5_split_cost_statistics(fo_index):
         5, ok,
         f"k={C5_K} cycle on {FO_N}v/{FO_M}e surrogate: mean split size "
         f"{s_text} (limit {C5_MAX_AVG_S}), mean search probes "
-        f"{rep.avg_search:.3f} over {idx.tree_deletes} tree deletions "
+        f"{avg_search:.3f} over {idx.tree_deletes} tree deletions "
         f"(limit {C5_MAX_AVG_SEARCH}); sliding windows ({w_text}; split "
         f"size limit {C5_MAX_AVG_S}, search unbounded)",
     )

@@ -9,7 +9,8 @@ from dynconn import cli
 from dynconn.connectivity import ConnectivityIndex
 from dynconn.spanning_forest import SpanningForest
 from dynconn.two_edge import TwoEdgeForest
-from dynconn.workload import FuzzOutcome, random_edge_stream
+from dynconn.workload import (FuzzOutcome, load_edge_file, random_edge_stream,
+                              run_sliding_window)
 
 
 @pytest.fixture
@@ -79,6 +80,29 @@ def test_window_row_group_per_pct(capsys, temporal_file):
     body = out.split("window_pct,op,mean_ns,count\n")[1]
     pcts = {line.split(",")[0] for line in body.strip().splitlines()}
     assert pcts == {"50", "100"}
+
+
+def test_window_statistics_are_tagged_per_pct(capsys, tmp_path):
+    # every window's statistics survive the merge, each under its own pct,
+    # at the value the window alone reports; event counts add up
+    p = tmp_path / "t300.txt"
+    stream = random_edge_stream(300, 1200, seed=3, timestamps=True)
+    p.write_text("".join(f"{ev.u} {ev.v} {ev.t}\n" for ev in stream.events))
+    rc, out, _ = run(capsys, "window", "--input", str(p), "--pct", "5,80",
+                     "--queries", "0")
+    assert rc == 0
+    rows = dict(line.split(",") for line in
+                out.split("window_pct,op,mean_ns,count\n")[0].splitlines()[1:])
+    stats = ("avg_depth_id", "avg_S", "avg_search", "avg_finds_len")
+    assert not rows.keys() & set(stats)
+    inserts = 0
+    for pct in (5, 80):
+        alone = run_sliding_window(load_edge_file(str(p)), pct)
+        for name in stats:
+            tagged = f"{name}_w{pct}"
+            assert rows[tagged] == f"{alone.extras[tagged]:.6g}"
+        inserts += alone.counts["insert"]
+    assert rows["count_insert"] == str(inserts)
 
 
 def test_window_without_timestamps_is_usage_error(capsys, graph_file):

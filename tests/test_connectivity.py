@@ -103,6 +103,25 @@ def test_non_int_ids_raise_out_of_range_and_change_nothing(make, ops, bad):
 
 
 @pytest.mark.parametrize("make, ops", [
+    (ConnectivityIndex, ("insert", "delete")),
+    (TwoEdgeIndex, ("insert2", "delete2")),
+])
+def test_bool_ids_raise_out_of_range_on_edge_ops(make, ops):
+    # a bool indexes like 0 or 1, and True would sit in an adjacency set as
+    # itself; (True, 2) names the live edge (1, 2), (True, 3) an absent one
+    idx = make(5)
+    for e in [(0, 1), (1, 2), (0, 2), (2, 3)]:
+        getattr(idx, ops[0])(*e)
+    before = _arrays(idx), idx.graph.m
+    for op in ops:
+        for args in ((True, 3), (3, True), (True, 2), (False, 3), (True, False)):
+            with pytest.raises(OutOfRange):
+                getattr(idx, op)(*args)
+            assert (_arrays(idx), idx.graph.m) == before, (op, args)
+            idx.graph.check_integrity()
+
+
+@pytest.mark.parametrize("make, ops", [
     (ConnectivityIndex, ("insert", "delete", "connected", "forest.query")),
     (TwoEdgeIndex, ("insert2", "delete2", "two_edge_connected", "forest.query")),
 ])
@@ -125,7 +144,7 @@ def test_rejected_ops_raise_their_error_and_change_nothing(make, ops):
         assert _arrays(idx) == before, (op.__name__, args)
 
 
-@pytest.mark.parametrize("n", [1.5, "5", None, -1])
+@pytest.mark.parametrize("n", [1.5, "5", None, -1, True])
 @pytest.mark.parametrize("make", [ConnectivityIndex, TwoEdgeIndex, DynamicGraph,
                                   DisjointSetForest])
 def test_bad_vertex_count_raises_out_of_range(make, n):

@@ -81,6 +81,18 @@ def test_link_keeps_root_when_balanced():
     assert f.size == [4, 2, 1, 1]
 
 
+def test_link_reroots_the_attached_tree_at_its_end():
+    # 2 is the leaf of the chain 0-1-2 rooted at 0; link first makes it the
+    # chain's root, so the whole chain hangs under 3 by the edge (2, 3)
+    g, f = make(4, [(0, 1), (1, 2), (2, 3)])
+    shape(f, [-1, 0, 1, -1], [3, 2, 1, 1])
+    assert f.link(2, 3, 3) == 3
+    assert f.parent == [1, 2, 3, -1]
+    assert f.size == [1, 2, 3, 4]
+    f.check_integrity()
+    assert forest_partition(f) == oracle_components(g)
+
+
 def test_insert_tree_edge_smaller_under_larger():
     idx = ConnectivityIndex(6)
     idx.insert(0, 1)

@@ -102,6 +102,24 @@ def test_reroot_keeps_counts_on_physical_edges():
     assert f.rep == [0, 2, 1]
 
 
+def test_link_of_a_covered_tree_keeps_counts_on_physical_edges():
+    # the chain 0-1-2 rooted at 0, both edges covered by (0, 2), joins the
+    # lone vertex 3 at its leaf 2: the reroot inside link moves each count
+    # one step down the flipped path, and the new edge (2, 3) counts 0
+    g = DynamicGraph(4)
+    for a, b in ((0, 1), (1, 2), (0, 2), (2, 3)):
+        g.add_edge(a, b)
+    f = TwoEdgeForest(g)
+    f.parent = [-1, 0, 1, -1]
+    f.size = [3, 2, 1, 1]
+    f.rep = [0, 1, 1, 0]
+    assert f.link(2, 3, 3) == 3
+    assert f.parent == [1, 2, 3, -1]
+    assert f.rep == [1, 1, 0, 0]
+    assert forest_rep_map(f) == oracle_rep(g, f.parent)
+    f.check_integrity()
+
+
 def test_cut_bridge_refuses_covered_edges():
     idx = TwoEdgeIndex(3)
     idx.insert2(0, 1)
