@@ -16,6 +16,10 @@ of being rebuilt:
   each of its vertices takes a fresh set record, leaving its old one
   behind as a ghost, O(1) per vertex amortized over the set forest's
   rebuilds.
+
+IndexBase holds what this index shares with the 2-edge index, whose set
+forest is also named `dsets`: the structures, the workload counters,
+partition() and counters().
 """
 
 from __future__ import annotations
@@ -26,13 +30,15 @@ from .graph import DynamicGraph
 from .spanning_forest import DeleteKind, InsertKind, SpanningForest
 
 
-class ConnectivityIndex:
-    mode = "conn"
+class IndexBase:
+    """What both indexes share: the graph, a spanning forest over it, the
+    set forest `dsets` whose partition is the indexed relation, and the
+    workload counters.  Each index names its forest and set classes."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, forest_cls, sets_cls):
         self.graph = DynamicGraph(n)
-        self.forest = SpanningForest(self.graph)
-        self.dsets = DisjointSetForest(n)
+        self.forest = forest_cls(self.graph)
+        self.dsets = sets_cls(n)
         # workload statistics, accumulated over tree-edge deletions
         self.tree_deletes = 0
         self.splits = 0
@@ -40,6 +46,32 @@ class ConnectivityIndex:
         self.probe_total = 0
         # non-tree inserts that rewired the tree
         self.rewires = 0
+
+    def partition(self) -> list:
+        """Set representative of every vertex, read without compressing
+        or counting."""
+        peek = self.dsets.peek_root
+        return [peek(v) for v in range(self.graph.n)]
+
+    def counters(self) -> dict:
+        return {
+            "tree_deletes": self.tree_deletes,
+            "splits": self.splits,
+            "split_visited_total": self.split_visited_total,
+            "probe_total": self.probe_total,
+            "rewires": self.rewires,
+            **self.dsets.counters(),
+        }
+
+
+class ConnectivityIndex(IndexBase):
+    """Connectivity: `dsets` holds one set per component, represented by
+    the component's spanning-tree root."""
+
+    mode = "conn"
+
+    def __init__(self, n: int):
+        super().__init__(n, SpanningForest, DisjointSetForest)
 
     def insert(self, u: int, v: int) -> InsertKind:
         if not self.graph.add_edge(u, v):
@@ -90,22 +122,6 @@ class ConnectivityIndex:
         raise OutOfRange(f"query ({u}, {v})")
 
     query = connected
-
-    def partition(self) -> list:
-        """Set representative of every vertex, read without compressing
-        or counting."""
-        peek = self.dsets.peek_root
-        return [peek(v) for v in range(self.graph.n)]
-
-    def counters(self) -> dict:
-        return {
-            "tree_deletes": self.tree_deletes,
-            "splits": self.splits,
-            "split_visited_total": self.split_visited_total,
-            "probe_total": self.probe_total,
-            "rewires": self.rewires,
-            **self.dsets.counters(),
-        }
 
     def stats(self) -> dict:
         f = self.forest

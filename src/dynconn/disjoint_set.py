@@ -170,7 +170,8 @@ class DisjointSetForest:
 
         `members` must be distinct and must hold `small`, and `root` must
         be the representative of the set every member is in, and not a
-        member itself; a refused call changes nothing.  Each
+        member itself; a refused call changes nothing, and a repeated
+        member is refused with NotMember, after the checks above.  Each
         member's old record stays in root's tree as a ghost, so nothing
         below it moves, and the member takes a fresh record: small's roots
         the new set and every other member's hangs directly under it.  No
@@ -191,11 +192,13 @@ class DisjointSetForest:
             h = slot[u]
             if parent[h] == h:
                 raise IsRoot(f"cannot split off representative {u}")
+        k = len(members)
+        if k > 1 and len(set(members)) != k:
+            raise NotMember("a member is listed twice")
         for u in members:
             vid[slot[u]] = -1
             slot[u] = len(vid)
             vid.append(u)
-        k = len(members)
         parent.extend([slot[small]] * k)
         self.isolate_calls += k
         self.link_calls += k - 1

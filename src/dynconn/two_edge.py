@@ -8,10 +8,12 @@ them at the same vertex.  The forest's own link, unlink and reroot do
 the tree surgery; a reroot then moves each counter on the reversed path
 one step down, to its edge's new child end.
 
-Cover walks never touch depths: both endpoints of an edge walk
-toward their lowest common ancestor, always advancing whichever
-pointer owns the smaller subtree, the v end on a tie (sizes strictly
-grow upward, so the pointers cannot overshoot the meeting point).
+One cover walk adds 1 to every counter on a non-tree edge's tree path
+when the edge arrives, and -1 when it leaves.  It never touches depths:
+both endpoints walk toward their lowest common ancestor, always
+advancing whichever pointer owns the smaller subtree, the v end on a
+tie (sizes strictly grow upward, so the pointers cannot overshoot the
+meeting point).
 
 Deleting a covered tree edge f is one swap T' = T - f + e, e being the
 first crossing edge the small-side scan finds.  Only the counters on
@@ -33,14 +35,16 @@ graph and counts as one more crossing edge, whose new path is e's old
 cycle minus that edge; as it covers that whole path, the swap changes
 no class.
 
-On top of the forest sits a second disjoint-set forest, one set per
-2-edge class with member counts.  A counter rising off zero merges two
-classes; a counter falling to zero carves the child's side out into a
-class of its own.  A deletion only lowers counters, so it only splits.
+On top of the forest sits the index's one set forest, `dsets` as in the
+connectivity index (both build on connectivity.IndexBase), with one set
+per 2-edge class and member counts.  A counter rising off zero merges
+two classes; a counter falling to zero carves the child's side out into
+a class of its own.  A deletion only lowers counters, so it only splits.
 """
 
 from __future__ import annotations
 
+from .connectivity import IndexBase
 from .disjoint_set import DisjointSetForest
 from .errors import (
     DuplicateEdge,
@@ -50,7 +54,6 @@ from .errors import (
     OutOfRange,
     RepUnderflow,
 )
-from .graph import DynamicGraph
 from .spanning_forest import DeleteKind, InsertKind, SpanningForest
 
 
@@ -205,31 +208,22 @@ class SizedDisjointSet(DisjointSetForest):
                                      f"but holds {members[r]}")
 
 
-class TwoEdgeIndex:
+class TwoEdgeIndex(IndexBase):
     """Dynamic 2-edge connectivity with constant-time queries.
 
-    The covered forest decides everything structural; the class sets
-    shadow its counter transitions so two_edge_connected() is a pair of
-    set lookups.  Unlike plain connectivity there is no root pairing to
-    maintain between the two structures: class representatives roam
-    freely.
+    The covered forest decides everything structural; `dsets`, one set
+    per class, shadows its counter transitions so two_edge_connected()
+    is a pair of set lookups.  Unlike plain connectivity there is no
+    root pairing to maintain between the two structures: class
+    representatives roam freely.
     """
 
     mode = "2ec"
 
     def __init__(self, n: int):
-        self.graph = DynamicGraph(n)
-        self.forest = TwoEdgeForest(self.graph)
-        self.csets = SizedDisjointSet(n)
+        super().__init__(n, TwoEdgeForest, SizedDisjointSet)
         # which stamped path edge an upward walk of the swap ends on
         self._land = [0] * n
-        # workload statistics, accumulated over tree-edge deletions
-        self.tree_deletes = 0
-        self.splits = 0
-        self.split_visited_total = 0
-        self.probe_total = 0
-        # non-tree inserts that swapped themselves into the tree
-        self.rewires = 0
 
     def insert2(self, u: int, v: int) -> InsertKind:
         if not self.graph.add_edge(u, v):
@@ -244,14 +238,14 @@ class TwoEdgeIndex:
         f = self.forest
         if f.parent[u] == v or f.parent[v] == u:
             return self._cut_tree_edge(u, v)
-        self._uncover(u, v)
+        self._cover(u, v, -1)
         return DeleteKind.NONTREE
 
     def two_edge_connected(self, u: int, v: int) -> bool:
         n = self.graph.n
         try:
             if 0 <= u < n and 0 <= v < n:
-                return self.csets.same_set(u, v)
+                return self.dsets.same_set(u, v)
         except TypeError:  # a non-int id fails before anything changes
             pass
         raise OutOfRange(f"query ({u}, {v})")
@@ -261,26 +255,10 @@ class TwoEdgeIndex:
     delete = delete2
     query = two_edge_connected
 
-    def partition(self) -> list:
-        """Class representative of every vertex, read without compressing
-        or counting."""
-        peek = self.csets.peek_root
-        return [peek(v) for v in range(self.graph.n)]
-
-    def counters(self) -> dict:
-        return {
-            "tree_deletes": self.tree_deletes,
-            "splits": self.splits,
-            "split_visited_total": self.split_visited_total,
-            "probe_total": self.probe_total,
-            "rewires": self.rewires,
-            **self.csets.counters(),
-        }
-
     def stats(self) -> dict:
         f = self.forest
         n = self.graph.n
-        sets = self.csets
+        sets = self.dsets
         reps = sets.root_vertices()
         parent = f.parent
         rep = f.rep
@@ -310,7 +288,7 @@ class TwoEdgeIndex:
                 u, v, ru, rv = v, u, rv, ru
             f.link(u, v, rv)
             return InsertKind.TREE_EDGE
-        self._cover(u, v)
+        self._cover(u, v, 1)
         if du < dv:
             u, v, du, dv = v, u, dv, du
         gap = du - dv
@@ -334,21 +312,27 @@ class TwoEdgeIndex:
         self._rewire(u, v, x)
         return InsertKind.NONTREE_REWIRED
 
-    def _cover(self, u, v):
-        """Covering walk of a non-tree edge (u, v), merging classes at
-        every 0 -> 1."""
+    def _cover(self, u, v, step):
+        """Add step, 1 or -1, to the counter of every tree edge on the
+        path of non-tree edge (u, v).  A counter rising to 1 merges its
+        edge's two classes and one falling to 0 splits them; one that
+        would fall below 0 raises RepUnderflow."""
         f = self.forest
         parent = f.parent
         size = f.size
         rep = f.rep
-        sets = self.csets
         while u != v:
             if size[u] >= size[v]:
                 u, v = v, u
-            r = rep[u] + 1
+            r = rep[u] + step
+            if r < 2:  # 0 <-> 1, an underflow, or a 2 -> 1 that keeps classes
+                if r < 0:
+                    raise RepUnderflow(f"cover count below zero above {u}")
+                if r == 0:
+                    self._split_class(u)
+                elif step == 1:
+                    self.dsets.union(u, parent[u])
             rep[u] = r
-            if r == 1:
-                sets.union(u, parent[u])
             u = parent[u]
 
     def _rewire(self, u, v, w):
@@ -371,23 +355,6 @@ class TwoEdgeIndex:
         if self._swap(child, big_root, e, crossing, k):
             raise InvariantError("a rewire left an edge of its cycle uncovered")
 
-    def _uncover(self, u, v):
-        """Covering walk in reverse, splitting a class at every 1 -> 0."""
-        f = self.forest
-        parent = f.parent
-        size = f.size
-        rep = f.rep
-        while u != v:
-            if size[u] >= size[v]:
-                u, v = v, u
-            r = rep[u] - 1
-            if r < 0:
-                raise RepUnderflow(f"cover count below zero above {u}")
-            rep[u] = r
-            if r == 0:
-                self._split_class(u)
-            u = parent[u]
-
     def _split_class(self, w):
         """The tree edge above w just became a bridge: w's side of it moves
         into a class of its own.  The old class keeps its representative on
@@ -402,7 +369,7 @@ class TwoEdgeIndex:
             for y in adj[x]:
                 if parent[y] == x and rep[y] > 0:
                     members.append(y)
-        sets = self.csets
+        sets = self.dsets
         sets.split_off(w, members, sets.reroot(parent[w]))
 
     def _cut_tree_edge(self, u, v):

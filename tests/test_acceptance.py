@@ -14,8 +14,9 @@ import time
 
 import pytest
 
-from dynconn.oracle import Partition, oracle_components, oracle_two_edge_components
+from dynconn.oracle import Partition
 from dynconn.workload import (
+    MODES,
     build_index,
     random_edge_stream,
     run_fuzz,
@@ -208,12 +209,8 @@ def test_criterion_7_round_trip_restoration():
         # the cycle driver itself asserts partition restoration and, at
         # this size, agreement with the BFS oracle
         run_random_cycle(idx, idx.graph.m, seed=C7_SEED + 1)
-        if mode == "conn":
-            got = Partition([idx.dsets.peek_root(v) for v in range(C7_N)])
-            results.append(got == oracle_components(idx.graph))
-        else:
-            got = Partition([idx.csets.peek_root(v) for v in range(C7_N)])
-            results.append(got == oracle_two_edge_components(idx.graph))
+        got = Partition([idx.dsets.peek_root(v) for v in range(C7_N)])
+        results.append(got == MODES[mode][1](idx.graph))
     ok = all(results)
     assert _line(
         7, ok,

@@ -77,11 +77,10 @@ def _arrays(idx):
     """Copies of every array and counter the index and its parts hold."""
     out = {"adj": [sorted(a) for a in idx.graph.adj], "m": idx.graph.m,
            "counters": idx.counters()}
-    for part in (idx, idx.forest, getattr(idx, "dsets", None), getattr(idx, "csets", None)):
-        if part is not None:
-            for k, v in vars(part).items():
-                if isinstance(v, (list, int)):
-                    out[(type(part).__name__, k)] = list(v) if isinstance(v, list) else v
+    for part in (idx, idx.forest, idx.dsets):
+        for k, v in vars(part).items():
+            if isinstance(v, (list, int)):
+                out[(type(part).__name__, k)] = list(v) if isinstance(v, list) else v
     return out
 
 
@@ -396,7 +395,7 @@ class TwoEdgeIndexMachine(IndexMachine):
 
     def check_mode(self):
         f = self.idx.forest
-        self.idx.csets.check_integrity()
+        self.idx.dsets.check_integrity()
         stored = {(min(x, p), max(x, p)): f.rep[x]
                   for x, p in enumerate(f.parent) if p != -1}
         assert stored == oracle_rep(self.idx.graph, f.parent)

@@ -253,6 +253,10 @@ def test_refused_split_off_changes_nothing(make):
         ds.split_off(0, [], 0)  # no members at all
     with pytest.raises(NotMember):
         ds.split_off(2, [1], 0)  # small is not a member
+    with pytest.raises(NotMember):
+        ds.split_off(1, [1, 1], 0)  # a repeat would take two records
+    with pytest.raises(NotMember):
+        ds.split_off(1, [1, 2, 3, 2], 0)
     assert vars(ds) == before
     assert [ds.peek_root(v) for v in range(4)] == [0, 0, 0, 0]
     ds.check_integrity()

@@ -41,7 +41,7 @@ def forest_rep_map(forest):
 
 
 def class_partition(idx):
-    return Partition([idx.csets.find(v) for v in range(idx.graph.n)])
+    return Partition([idx.dsets.find(v) for v in range(idx.graph.n)])
 
 
 def check_index(idx):
@@ -54,7 +54,7 @@ def check_index(idx):
     assert class_partition(idx) == truth
     assert Partition([idx.forest.ecc_root(v) for v in range(g.n)]) == truth
     idx.forest.check_integrity()
-    idx.csets.check_integrity()
+    idx.dsets.check_integrity()
 
 
 def _no_cover_walks(idx):
@@ -63,7 +63,6 @@ def _no_cover_walks(idx):
         raise AssertionError("tree delete ran a cover walk")
     idx._place = refuse
     idx._cover = refuse
-    idx._uncover = refuse
 
 
 # -- frozen small cases -------------------------------------------------------
@@ -77,7 +76,7 @@ def test_triangle_covers_both_tree_edges():
     assert idx.forest.rep == [1, 0, 1]  # root 1 holds no edge above it
     assert idx.two_edge_connected(0, 2)
     assert idx.two_edge_connected(1, 2)
-    assert idx.csets.dsize[idx.csets.find(0)] == 3
+    assert idx.dsets.dsize[idx.dsets.find(0)] == 3
     check_index(idx)
 
 
@@ -139,7 +138,7 @@ def test_uncover_below_zero_raises():
     idx.insert2(0, 1)
     idx.insert2(1, 2)
     try:
-        idx._uncover(0, 2)
+        idx._cover(0, 2, -1)
         assert False
     except RepUnderflow:
         pass
@@ -225,20 +224,20 @@ def test_tree_delete_splits_a_class_of_three_in_one_carve():
     assert idx.forest.parent[0] == 5 or idx.forest.parent[5] == 0
     assert idx.stats()["classes"] == 1
     carved = []
-    split_off = idx.csets.split_off
+    split_off = idx.dsets.split_off
 
     def record(small, members, root):
         carved.append(sorted(members))
         return split_off(small, members, root)
-    idx.csets.split_off = record
-    base = idx.csets.counters()
+    idx.dsets.split_off = record
+    base = idx.dsets.counters()
     _no_cover_walks(idx)
     assert idx.delete2(0, 5) == DeleteKind.TREE_REPLACED
     assert carved in ([[0, 1, 2]], [[3, 4, 5]])
-    after = idx.csets.counters()
+    after = idx.dsets.counters()
     assert after["isolate_calls"] - base["isolate_calls"] == 3
     assert after["link_calls"] - base["link_calls"] == 2
-    assert sorted(idx.csets.dsize[r] for r in idx.csets.root_vertices()) == [3, 3]
+    assert sorted(idx.dsets.dsize[r] for r in idx.dsets.root_vertices()) == [3, 3]
     assert not idx.two_edge_connected(2, 3) and idx.forest.query(2, 3)
     check_index(idx)
 
@@ -436,7 +435,7 @@ def _hand_built(parent, nontree):
     idx.forest.size = size
     for e in nontree:
         idx.graph.add_edge(*e)
-        idx._cover(*e)
+        idx._cover(*e, 1)
     check_index(idx)
     return idx
 
@@ -557,13 +556,13 @@ def _withdraw_and_replace(idx, u, v):
     crossing = [(min(e), max(e)) for e in f.getrep(child, big_root)
                 if e != (child, p)]
     for e in crossing:
-        idx._uncover(*e)
+        idx._cover(*e, -1)
     f.cut_bridge(child, p)
     idx.graph.remove_edge(u, v)
     if crossing:
         assert idx._place(*crossing[0]) == InsertKind.TREE_EDGE
     for e in crossing[1:]:
-        idx._cover(*e)
+        idx._cover(*e, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -778,10 +777,15 @@ def test_cover_walk_meets_at_lowest_common_ancestor(seed, n):
             below.add(x)
             x = f.parent[x]
     before = list(f.rep)
-    idx._cover(u, v)
+    idx._cover(u, v, 1)
     assert [r - b for r, b in zip(f.rep, before)] == [int(x in below) for x in range(n)]
-    idx._uncover(u, v)
+    # the walk's class side: exactly the path's vertices, a included, merge
+    assert class_partition(idx) == Partition(
+        [a if x in below else x for x in range(n)])
+    idx._cover(u, v, -1)
     assert f.rep == before
+    assert class_partition(idx) == Partition(range(n))
+    idx.dsets.check_integrity()
 
 
 @settings(max_examples=60, deadline=None)
