@@ -27,7 +27,9 @@ objects, so an id in [0, n) is held once, not once per list (at
 n = 100k, three range() lists would hold 6.4 MB of duplicate ints).
 
 Roots are self-parented.  Find points every record on its path at the
-root.
+root.  same_set answers a pair whose records both sit at most one step
+below their roots inline, with no find; find_calls and find_visits count
+only the finds that ran, so that inline answer counts nothing.
 """
 
 from __future__ import annotations
@@ -44,12 +46,10 @@ class DisjointSetForest:
         self._parent = ids
         self._slot = ids.copy()
         self._vid = ids.copy()
-        # instrumentation (cheap ints, read by the benchmarks); the
-        # find_calls and find_visits properties add up the first four
-        self._finds = 0
-        self._find_visits = 0
-        self._inline_pairs = 0
-        self._inline_roots = 0
+        # instrumentation (cheap ints, read by the benchmarks); a query
+        # answered inline counts nothing
+        self.find_calls = 0
+        self.find_visits = 0
         self.link_calls = 0
         self.isolate_calls = 0
         self.compactions = 0
@@ -74,8 +74,8 @@ class DisjointSetForest:
         h = self._slot[u]
         p = parent[h]
         if p == h:
-            self._finds += 1
-            self._find_visits += 1
+            self.find_calls += 1
+            self.find_visits += 1
             return u
         r = p
         pr = parent[r]
@@ -88,43 +88,23 @@ class DisjointSetForest:
             parent[h] = r
             h = p
             p = parent[h]
-        self._finds += 1
-        self._find_visits += k
+        self.find_calls += 1
+        self.find_visits += k
         return self._vid[r]
-
-    # same_set's deep path binds this alias, not find, so a profiler that
-    # wraps find on the class still sees only the update paths' finds.
-    _find = find
 
     def same_set(self, u, v):
         """find(u) == find(v).
 
         Compression leaves almost every record at most one step below its
         root, and there neither find walks nor relinks, so that case is
-        answered inline.  It counts once per pair, plus once per record
-        that is itself a root, and find_calls/find_visits expand that."""
+        answered inline and counts nothing.  Otherwise both finds run, and
+        count as any other find does."""
         parent = self._parent
-        hu = self._slot[u]
-        hv = self._slot[v]
-        ru = parent[hu]
-        rv = parent[hv]
+        ru = parent[self._slot[u]]
+        rv = parent[self._slot[v]]
         if parent[ru] != ru or parent[rv] != rv:
-            return self._find(u) == self._find(v)
-        self._inline_pairs += 1
-        if ru == hu or rv == hv:
-            self._inline_roots += (ru == hu) + (rv == hv)
+            return self.find(u) == self.find(v)
         return ru == rv
-
-    @property
-    def find_calls(self):
-        """Finds so far, each same_set counting as two."""
-        return self._finds + 2 * self._inline_pairs
-
-    @property
-    def find_visits(self):
-        """Records those finds walked, roots included: an inline pair
-        walks two per side, one where the side's record is a root."""
-        return self._find_visits + 4 * self._inline_pairs - self._inline_roots
 
     # -- structural operations --------------------------------------------
 

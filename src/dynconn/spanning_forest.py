@@ -187,11 +187,12 @@ class SpanningForest:
 
     def insert_nontree(self, u, v):
         """Non-tree placement for callers that already know the endpoints
-        share a tree.  Returns (kind, root after any rotation)."""
+        share a tree (InvariantError otherwise: the index is corrupt).
+        Returns (kind, root after any rotation)."""
         ru, du = self.find_root(u)
         rv, dv = self.find_root(v)
         if ru != rv:
-            raise ValueError("endpoints are in different trees")
+            raise InvariantError("endpoints are in different trees")
         gap = du - dv
         if gap < 0:
             u, v, gap = v, u, -gap

@@ -87,7 +87,7 @@ class TwoEdgeForest(SpanningForest):
         (counter zero) may be cut; a covered edge is swapped out by the
         index for one of its crossing edges instead."""
         if self.parent[u] != v:
-            raise ValueError(f"({u}, {v}) is not a child-to-parent tree edge")
+            raise InvariantError(f"({u}, {v}) is not a child-to-parent tree edge")
         if self.rep[u] != 0:
             raise HasReplacements(f"({u}, {v}) is still covered {self.rep[u]} times")
         self.unlink(u)
@@ -115,7 +115,7 @@ class TwoEdgeForest(SpanningForest):
         if parent[v] == u:
             u, v = v, u
         if parent[u] != v:
-            raise ValueError(f"({u}, {v}) is not a tree edge")
+            raise InvariantError(f"({u}, {v}) is not a tree edge")
         root = self._root(v)
         if 2 * self.size[u] > self.size[root]:
             self.reroot(u)

@@ -239,18 +239,28 @@ def _apply_structure_stats(report, idx, before, tag=""):
             rows[name + tag] = d[total] / d[samples]
 
 
+_QUERY_BATCH = 10_000
+
+
 def time_queries(idx, count, seed=0):
-    """Mean ns per query over `count` seeded uniform vertex pairs."""
+    """Mean ns per query over `count` seeded uniform vertex pairs.  The
+    pairs are drawn in batches, each before its clock starts, so only
+    the queries are timed and memory stays bounded."""
     _check_count("query count", count, 1)
     n = idx.graph.n
     if n == 0:
         raise OutOfRange("no vertices to query")
     query = idx.query
     rng = random.Random(seed)
-    t0 = time.perf_counter_ns()
-    for _ in range(count):
-        query(rng.randrange(n), rng.randrange(n))
-    return (time.perf_counter_ns() - t0) / count
+    total = 0
+    for start in range(0, count, _QUERY_BATCH):
+        pairs = [(rng.randrange(n), rng.randrange(n))
+                 for _ in range(min(_QUERY_BATCH, count - start))]
+        t0 = time.perf_counter_ns()
+        for u, v in pairs:
+            query(u, v)
+        total += time.perf_counter_ns() - t0
+    return total / count
 
 
 # -- benchmark protocols -------------------------------------------------------
@@ -440,17 +450,20 @@ def run_fuzz(mode="conn", n=64, ops=50_000, seed=0, check_every=100,
     """Random inserts/deletes/queries (40/40/20) with an oracle watching.
 
     `mode` picks the relation, as in `new_index`: "conn" (BFS oracle) or
-    "2ec" (bridge oracle).  Every query is answered three ways (set
-    forest, forest walk, oracle partition cached between mutations) and
-    must agree.  Every `check_every`-th op, both full partitions are
-    compared against the oracle.  One audit depends on the mode: in conn
-    mode every spanning tree root must be its own set representative after
-    every op; in 2ec mode every stored cover count is re-derived from
-    scratch at each check.  Sets are read without compression, so the walk
-    stats stay honest.  `tail_queries` extra queries run afterwards to
-    pile up find traffic for walk-length statistics.  A DynConnError
-    raised inside an op or a check counts as one violation at that op
-    and ends the run there; a failed root audit does not end it.
+    "2ec" (bridge oracle).  Every query is answered four ways (set
+    forest, forest walk, oracle partition cached between mutations, then
+    two set-forest finds, which check same_set's inline answer against
+    the walk it stands in for) and must agree.  Every `check_every`-th
+    op, both full partitions are compared against the oracle.  One audit
+    depends on the mode: in conn mode every spanning tree root must be
+    its own set representative after every op; in 2ec mode every stored
+    cover count is re-derived from scratch at each check.  Partitions are
+    read without compression or counting, so the walk stats hold only
+    the ops' and the probes' finds.  `tail_queries` extra queries run
+    afterwards to pile up find traffic for walk-length statistics.  A
+    DynConnError raised inside an op or a check counts as one violation
+    at that op and ends the run there; a failed root audit does not end
+    it.
     """
     _check_count("n", n, 2)
     _check_count("ops", ops, 0)
@@ -460,6 +473,7 @@ def run_fuzz(mode="conn", n=64, ops=50_000, seed=0, check_every=100,
     idx = new_index(n, mode)
     oracle = MODES[mode][1]
     insert, delete, query = idx.insert, idx.delete, idx.query
+    find = idx.dsets.find
     g = idx.graph
     forest = idx.forest
     live = _LiveEdges(n)
@@ -509,8 +523,9 @@ def run_fuzz(mode="conn", n=64, ops=50_000, seed=0, check_every=100,
         a = query(u, v)
         b = walk(u) == walk(v)
         c = truth().same_block(u, v)
-        if not (a == b == c):
-            note(f"{where} {i}: query({u},{v}) sets={a} walk={b} oracle={c}")
+        d = find(u) == find(v)
+        if not (a == b == c == d):
+            note(f"{where} {i}: query({u},{v}) sets={a} walk={b} oracle={c} find={d}")
 
     t_start = time.perf_counter()
     where, step = "op", 0

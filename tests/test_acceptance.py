@@ -120,7 +120,7 @@ def test_criterion_1_connectivity_differential_fuzz(conn_fuzz):
     ok = agree == 0 and out.elapsed_s < C1_MAX_SECONDS
     assert _line(
         1, ok,
-        f"{out.ops} mixed ops, {out.queries} queries triple-checked, "
+        f"{out.ops} mixed ops, {out.queries} queries checked four ways, "
         f"{out.checks} partition checks, {agree} disagreements, "
         f"{out.elapsed_s:.2f}s (limit {C1_MAX_SECONDS:.0f}s)",
     ), out.violations

@@ -13,7 +13,7 @@ from dynconn.graph import DynamicGraph
 from dynconn.oracle import Partition, oracle_components, oracle_connected, oracle_rep
 from dynconn.spanning_forest import DeleteKind, InsertKind
 from dynconn.two_edge import TwoEdgeIndex
-from dynconn.workload import MODES, random_edge_stream
+from dynconn.workload import MODES, build_index, random_edge_stream
 
 
 def index_partition(idx):
@@ -274,6 +274,21 @@ def test_split_makes_one_set_find(small):
 
 def test_both_indexes_report_the_same_counters():
     assert ConnectivityIndex(3).counters().keys() == TwoEdgeIndex(3).counters().keys()
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_inline_queries_count_nothing(mode):
+    # after a find on every vertex each record sits at most one step below
+    # its root, so every query is answered inline and runs no find
+    idx, _ = build_index(random_edge_stream(30, 40, seed=3), mode)
+    ds = idx.dsets
+    for v in range(30):
+        ds.find(v)
+    before = (idx.counters(), list(ds._parent))
+    answers = [idx.query(u, v) for u in range(30) for v in range(30)]
+    assert (idx.counters(), list(ds._parent)) == before
+    assert Partition(idx.partition()) == MODES[mode][1](idx.graph)
+    assert answers == [ds.find(u) == ds.find(v) for u in range(30) for v in range(30)]
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))

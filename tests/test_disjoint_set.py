@@ -60,6 +60,33 @@ def test_find_compresses_once_then_single_hop():
     ds.check_integrity()
 
 
+def test_deep_query_counts_the_two_finds_it_runs(monkeypatch):
+    # 2 sits two steps below root 0, so same_set(2, 3) runs find(2), which
+    # walks 2, 1 and 0, and find(3), which reads root 3 alone
+    ran = []
+    real = DisjointSetForest.find
+
+    def find(self, u):
+        ran.append(u)
+        return real(self, u)
+
+    monkeypatch.setattr(DisjointSetForest, "find", find)
+    ds = DisjointSetForest(4)
+    ds.link(2, 1)
+    ds.link(1, 0)
+    base = ds.counters()
+    assert not ds.same_set(2, 3)
+    delta = {k: v - base[k] for k, v in ds.counters().items()}
+    assert delta == {"find_calls": 2, "find_visits": 4, "link_calls": 0,
+                     "isolate_calls": 0, "compactions": 0}
+    assert ran == [2, 3]
+    # compressed, the next query is answered inline and counts nothing
+    after = ds.counters()
+    assert ds.same_set(2, 1)
+    assert ds.counters() == after
+    assert ran == [2, 3]
+
+
 def test_isolate_leaves_children_in_place():
     ds = DisjointSetForest(4)
     ds.link(2, 1)

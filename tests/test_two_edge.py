@@ -303,6 +303,23 @@ def test_error_vocabulary():
         idx.delete2(1, 1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda f, x: f.insert_nontree(x, 3),      # 3 is a tree of its own
+    lambda f, x: f.cut_bridge(f.parent[x], x),  # parent-to-child
+    lambda f, x: f.orient_cut(0, 2),          # 0 and 2 are two edges apart
+], ids=["insert_nontree", "cut_bridge", "orient_cut"])
+def test_forest_misuse_is_an_invariant_error(call):
+    # the index checks its input before these calls, so a firing means a
+    # corrupt structure: an InvariantError, and the forest is left as it was
+    idx = _built(4, [(0, 1), (1, 2)])
+    f = idx.forest
+    x = next(v for v in range(3) if f.parent[v] != -1)
+    before = (list(f.parent), list(f.size), list(f.rep))
+    with pytest.raises(InvariantError):
+        call(f, x)
+    assert (list(f.parent), list(f.size), list(f.rep)) == before
+
+
 # -- tree-edge swap -----------------------------------------------------------
 
 

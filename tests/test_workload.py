@@ -2,9 +2,11 @@
 
 import io
 import random
+import types
 
 import pytest
 
+from dynconn import workload
 from dynconn.connectivity import ConnectivityIndex
 from dynconn.disjoint_set import DisjointSetForest
 from dynconn.errors import (InvariantError, KTooLarge, MissingTimestamps, OutOfRange,
@@ -234,6 +236,32 @@ def test_query_batch_bad_count_is_out_of_range(count):
         time_queries(idx, count)
 
 
+def test_query_batch_times_only_the_queries(monkeypatch):
+    # the stub clock ticks 1000 ns per seeded draw and 1 ns per query, so
+    # a mean of 1 ns means every batch drew its pairs before its clock
+    # started; 40 queries in batches of 16 make three batches
+    clock = [0]
+
+    class TickingRandom(random.Random):
+        def randrange(self, *args):
+            clock[0] += 1000
+            return super().randrange(*args)
+
+    asked = []
+
+    def query(u, v):
+        clock[0] += 1
+        asked.append((u, v))
+
+    monkeypatch.setattr(workload, "random", types.SimpleNamespace(Random=TickingRandom))
+    monkeypatch.setattr(workload, "time", types.SimpleNamespace(perf_counter_ns=lambda: clock[0]))
+    monkeypatch.setattr(workload, "_QUERY_BATCH", 16)
+    idx = types.SimpleNamespace(graph=types.SimpleNamespace(n=50), query=query)
+    assert time_queries(idx, 40, seed=5) == 1.0
+    rng = random.Random(5)
+    assert asked == [(rng.randrange(50), rng.randrange(50)) for _ in range(40)]
+
+
 # -- sliding window --------------------------------------------------------
 
 
@@ -424,7 +452,7 @@ def test_fuzz_catches_a_wrong_set_answer(monkeypatch, mode):
     out = run_fuzz(mode, n=8, ops=200, seed=1, check_every=50, tail_queries=10)
     # every query is now wrong, and nothing else is
     assert out.violation_count == out.queries == 47
-    assert out.violations[0] == "op 8: query(0,3) sets=True walk=False oracle=False"
+    assert out.violations[0] == "op 8: query(0,3) sets=True walk=False oracle=False find=False"
     assert all("query(" in msg for msg in out.violations)
 
 
